@@ -82,7 +82,7 @@ class QueryRequest:
     request_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.quota <= 0:
+        if not self.quota > 0:  # also rejects NaN
             raise TimeControlError(
                 f"request quota must be positive: {self.quota}"
             )

@@ -177,30 +177,33 @@ class BufferPool:
     # Lookup / admission (called by HeapFile after charge + injector)
     # ------------------------------------------------------------------
     @staticmethod
-    def fingerprint(relation: "HeapFile") -> str:
-        """Identity of the relation *contents* a key was built against.
+    def key_prefix(relation: "HeapFile") -> tuple[str, str]:
+        """``(relation name, size fingerprint)`` — every key but the block id.
 
         The per-heap storage token distinguishes same-named relations from
         different databases (or a drop-and-recreate); the size components
         make a grown heap miss naturally even before the explicit
-        mutation-time eviction lands.
+        mutation-time eviction lands. A batched read computes this once
+        and passes it to :meth:`get_or_admit` for each of its blocks.
         """
         return (
+            relation.name,
             f"{relation.storage_token}:"
-            f"{relation.tuple_count}:{relation.block_count}"
+            f"{relation.tuple_count}:{relation.block_count}",
         )
 
     def get_or_admit(
-        self, relation: "HeapFile", block_id: int
+        self, relation: "HeapFile", block_id: int, prefix: tuple[str, str]
     ) -> tuple[_BlockEntry, bool]:
         """The resident entry for one block, admitting it on miss.
 
-        Returns ``(entry, hit)``. Must be called only after the block's
+        ``prefix`` is :meth:`key_prefix` of ``relation``. Returns
+        ``(entry, hit)``. Must be called only after the block's
         ``BLOCK_READ`` was charged and the fault injector consulted: a
         read that raised never reaches this point, so faulted reads are
         never admitted.
         """
-        key = (relation.name, self.fingerprint(relation), block_id)
+        key = (prefix[0], prefix[1], block_id)
         evicted: list[_BlockEntry] = []
         with self._lock:
             entry = self._entries.get(key)
@@ -214,17 +217,19 @@ class BufferPool:
             )
             self._entries[key] = entry
             # Evict LRU-first, skipping pinned entries (a stage holds a
-            # live reference to their columns); the pool may transiently
-            # exceed capacity when everything resident is pinned.
-            if len(self._entries) > self.capacity:
-                for candidate_key in list(self._entries):
-                    if len(self._entries) <= self.capacity:
-                        break
-                    candidate = self._entries[candidate_key]
-                    if candidate.pins > 0 or candidate_key == key:
-                        continue
-                    del self._entries[candidate_key]
-                    evicted.append(candidate)
+            # live reference to their columns) and the block just
+            # admitted. The walk stops at the last victim, so a miss costs
+            # O(pinned prefix + victims); the pool may transiently exceed
+            # capacity when everything resident is pinned.
+            excess = len(self._entries) - self.capacity
+            if excess > 0:
+                for candidate in self._entries.values():
+                    if candidate.pins == 0 and candidate is not entry:
+                        evicted.append(candidate)
+                        if len(evicted) == excess:
+                            break
+                for victim in evicted:
+                    del self._entries[victim.key]
                 self._evictions += len(evicted)
         for victim in evicted:
             self._emit(

@@ -199,6 +199,7 @@ class HeapFile:
         rows: list[Row] = []
         entries = []
         hits = 0
+        prefix = pool.key_prefix(self)
         for block_id in block_ids:
             if not 0 <= block_id < len(self._blocks):
                 raise StorageError(
@@ -212,7 +213,7 @@ class HeapFile:
                 injector.on_block_read(
                     self.name, block_id, charger, shard=self._injector_shard(block_id)
                 )
-            entry, hit = pool.get_or_admit(self, block_id)
+            entry, hit = pool.get_or_admit(self, block_id, prefix)
             hits += hit
             entries.append(entry)
             rows.extend(entry.rows)

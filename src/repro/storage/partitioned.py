@@ -418,6 +418,11 @@ class PartitionedHeapFile(HeapFile):
                 for shard, shard_blocks in fetch_jobs:
                     prefetched.update(self._fetch_shard(shard, shard_blocks, pool))
 
+        prefixes = (
+            [pool.key_prefix(view) for view in self.shards]
+            if pool is not None
+            else None
+        )
         rows: list[Row] = []
         entries: list = []
         shard_blocks_read: dict[int, int] = {}
@@ -440,7 +445,9 @@ class PartitionedHeapFile(HeapFile):
                     entry, hit = prefetched[block_id]
                 else:
                     entry, hit = pool.get_or_admit(
-                        self.shards[shard], assignment.local_ids[block_id]
+                        self.shards[shard],
+                        assignment.local_ids[block_id],
+                        prefixes[shard],
                     )
                 entries.append(entry)
                 block_rows = entry.rows
@@ -486,11 +493,12 @@ class PartitionedHeapFile(HeapFile):
         """Worker body: materialize one shard's drawn blocks (no charges)."""
         assignment = self.assignment
         view = self.shards[shard]
+        prefix = pool.key_prefix(view) if pool is not None else None
         out: dict[int, tuple] = {}
         for block_id in shard_blocks:
             if pool is not None:
                 out[block_id] = pool.get_or_admit(
-                    view, assignment.local_ids[block_id]
+                    view, assignment.local_ids[block_id], prefix
                 )
             else:
                 out[block_id] = list(self._blocks[block_id].rows)

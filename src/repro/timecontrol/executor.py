@@ -225,7 +225,8 @@ class TimeConstrainedExecutor:
         happens only between stages, charges nothing, and consumes no
         randomness, so it never perturbs the estimate.
         """
-        if quota <= 0:
+        # ``not quota > 0`` also rejects NaN, which every comparison fails.
+        if not quota > 0:
             raise TimeControlError(f"quota must be positive: {quota}")
         clock = self.plan.charger.clock
         start = clock.now()

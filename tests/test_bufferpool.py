@@ -111,21 +111,29 @@ class TestDecodeOnceAndPinning:
         assert first.column(1) is second.column(1)  # one decode, pool-wide
 
     def test_live_batch_pins_entries_against_eviction(self, heap, free_charger):
-        pool = BufferPool(capacity=2)
+        sink = RecordingSink()
+        pool = BufferPool(capacity=2, sink=sink)
         _, batch = heap.read_blocks_decoded([0, 1], free_charger, pool=pool)
         assert pool.info().pinned == 2
         read(pool, heap, [2, 3, 4], free_charger)
-        # Pinned entries survive even though capacity is exceeded.
+        # Pinned blocks 0 and 1 survive past capacity; each admit can only
+        # evict the previous unpinned block (never the one just admitted).
         info = pool.info()
-        assert info.currsize >= 2
+        assert (info.currsize, info.evictions) == (3, 2)
+        assert [e.block_id for e in sink.of_kind("buffer_evicted")] == [2, 3]
         assert batch.column(0) is not None  # still usable
         del batch
         import gc
 
         gc.collect()
         assert pool.info().pinned == 0
-        read(pool, heap, [2], free_charger)  # next admit can evict freely
-        assert pool.info().currsize <= 2 + 1
+        sink.clear()
+        # The next miss drains the overshoot in one go: two victims, LRU
+        # first, back to exactly capacity.
+        read(pool, heap, [2], free_charger)
+        info = pool.info()
+        assert (info.currsize, info.evictions, info.misses) == (2, 4, 6)
+        assert [e.block_id for e in sink.of_kind("buffer_evicted")] == [0, 1]
 
     def test_empty_read_produces_empty_batch(self, heap, free_charger):
         pool = BufferPool(capacity=8)

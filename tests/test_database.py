@@ -5,10 +5,11 @@ import pytest
 from repro.catalog.schema import Schema
 from repro.catalog.types import AttributeType
 from repro.core.database import Database
-from repro.errors import EstimationError, ReproError
+from repro.errors import EstimationError, ReproError, TimeControlError
 from repro.relational.expression import join, rel, select, union
 from repro.relational.predicate import cmp
 from repro.timecontrol.strategies import OneAtATimeInterval
+from repro.timekeeping.clock import SimulatedClock
 from repro.timekeeping.profile import MachineProfile
 
 
@@ -123,6 +124,22 @@ class TestCountEstimate:
         expr = select(rel("r1"), cmp("a", "<", 3))
         result = db.estimate(expr, quota=4.0, seed=7)
         assert result.relative_error(150) >= 0.0
+
+    def test_nan_quota_rejected_before_any_charge(self, db):
+        clock = SimulatedClock()
+        with pytest.raises(TimeControlError):
+            db.estimate(
+                select(rel("r1"), cmp("a", "<", 3)),
+                quota=float("nan"),
+                seed=7,
+                clock=clock,
+            )
+        assert clock.now() == 0.0
+
+    def test_infinite_quota_accepted(self, db):
+        expr = select(rel("r1"), cmp("a", "<", 3))
+        result = db.estimate(expr, quota=float("inf"), seed=7)
+        assert result.estimate.value == db.count(expr)
 
     def test_wall_clock_mode_runs(self):
         """The same controller against real time (tiny workload)."""

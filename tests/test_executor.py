@@ -99,6 +99,22 @@ class TestBasicRun:
         with pytest.raises(TimeControlError):
             executor.run(quota=0.0)
 
+    @pytest.mark.parametrize("quota", [float("nan"), -float("inf")])
+    def test_nan_and_negative_infinite_quota_rejected_before_any_charge(
+        self, catalog, quota
+    ):
+        executor = build_executor(catalog, rel("r1"))
+        clock = executor.plan.charger.clock
+        before = clock.now()
+        with pytest.raises(TimeControlError):
+            executor.run(quota=quota)
+        assert clock.now() == before
+
+    def test_infinite_quota_accepted(self, catalog):
+        executor = build_executor(catalog, rel("r1"), noise=0.0)
+        report = executor.run(quota=float("inf"))
+        assert report.termination == "exhausted"
+
     def test_generous_quota_exhausts_and_is_exact(self, catalog):
         expr = select(rel("r1"), cmp("a", "<", 3))
         executor = build_executor(catalog, expr, noise=0.0)

@@ -186,6 +186,13 @@ class TestQueryRequest:
         with pytest.raises(TimeControlError):
             QueryRequest(expr=query(), quota=1.0, arrival=-1.0)
 
+    def test_nan_quota_rejected_and_infinite_quota_accepted(self):
+        with pytest.raises(TimeControlError):
+            QueryRequest(expr=query(), quota=float("nan"))
+        assert QueryRequest(expr=query(), quota=float("inf")).deadline == float(
+            "inf"
+        )
+
     def test_deadline_and_ids(self):
         first = QueryRequest(expr=query(), quota=2.0, arrival=3.0)
         second = QueryRequest(expr=query(), quota=2.0)
