@@ -18,6 +18,7 @@ describes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,7 +59,13 @@ class StepSpec:
 
 
 class OnlineLinearModel:
-    """Posterior-mean linear model for one step's cost."""
+    """Posterior-mean linear model for one step's cost.
+
+    Predictions are plain Python float arithmetic over a coefficient tuple
+    refreshed by :meth:`observe`: NumPy's dot on 2–3 elements runs an
+    FMA chain whose rounding depends on the BLAS kernel, so the compiled
+    ``QCOST`` steps and this method share one definition instead.
+    """
 
     def __init__(self, spec: StepSpec) -> None:
         self.spec = spec
@@ -68,6 +75,7 @@ class OnlineLinearModel:
         self._a = np.diag(spec.weight * scales * scales)
         self._b = self._a @ theta0
         self._theta = theta0.copy()
+        self._coefs: tuple[float, ...] = tuple(self._theta.tolist())
         self.observations = 0
 
     @property
@@ -76,26 +84,44 @@ class OnlineLinearModel:
         return self._theta.copy()
 
     def predict(self, features: Sequence[float]) -> float:
-        """Predicted seconds for one step execution (floored at 0)."""
-        x = np.asarray(features, dtype=float)
-        if x.shape != (self.spec.dim,):
+        """Predicted seconds for one step execution (floored at 0).
+
+        ``Σ c·x`` left to right from ``0.0`` — not ``sum()``, which
+        compensates float sums from Python 3.12 — and NaN propagates.
+        """
+        coefs = self._coefs
+        if len(features) != len(coefs):
             raise CostModelError(
-                f"step {self.spec.name!r}: expected {self.spec.dim} features, "
-                f"got {x.shape}"
+                f"step {self.spec.name!r}: expected {len(coefs)} features, "
+                f"got {len(features)}"
             )
-        return float(max(self._theta @ x, 0.0))
+        total = 0.0
+        for c, x in zip(coefs, features):
+            total += c * x
+        return float(max(total, 0.0))
 
     def observe(self, features: Sequence[float], seconds: float) -> None:
-        """Fold one measured (features, seconds) pair into the posterior."""
+        """Fold one measured (features, seconds) pair into the posterior.
+
+        Non-finite input is rejected before any state changes: one NaN or
+        infinity would turn the coefficients to NaN for the whole session.
+        """
         x = np.asarray(features, dtype=float)
         if x.shape != (self.spec.dim,):
             raise CostModelError(
                 f"step {self.spec.name!r}: expected {self.spec.dim} features, "
                 f"got {x.shape}"
             )
+        if not math.isfinite(seconds):
+            raise CostModelError(f"non-finite step time {seconds}")
         if seconds < 0:
             raise CostModelError(f"negative step time {seconds}")
+        if not np.isfinite(x).all():
+            raise CostModelError(
+                f"step {self.spec.name!r}: non-finite features {x.tolist()}"
+            )
         self._a += np.outer(x, x)
         self._b += x * seconds
         self._theta = np.linalg.solve(self._a, self._b)
+        self._coefs = tuple(self._theta.tolist())
         self.observations += 1

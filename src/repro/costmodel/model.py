@@ -4,8 +4,10 @@
 :class:`~repro.costmodel.linear.OnlineLinearModel` instances, one per step of
 the catalogue in :mod:`repro.costmodel.steps`. The staged operator nodes
 
-* call :meth:`predict` inside ``Sample-Size-Determine``'s bisection to price
-  a candidate sample fraction, and
+* price a candidate sample fraction inside ``Sample-Size-Determine``'s
+  bisection — through :meth:`predict`, or through the compiled ``QCOST``
+  steps of :mod:`repro.engine.qcost`, which hold the step's
+  :meth:`model` — and
 * call :meth:`observe` after executing each step with the *measured* charged
   seconds, which is the paper's run-time coefficient adjustment.
 
@@ -35,7 +37,8 @@ class CostModel:
         self._models: dict[str, OnlineLinearModel] = {}
         self.adaptive = adaptive
 
-    def _model(self, step: str) -> OnlineLinearModel:
+    def model(self, step: str) -> OnlineLinearModel:
+        """The live model of ``step`` (created from its spec on first use)."""
         if step not in self._models:
             if step not in self._specs:
                 raise CostModelError(f"unknown cost step {step!r}")
@@ -44,17 +47,17 @@ class CostModel:
 
     def predict(self, step: str, features: Sequence[float]) -> float:
         """Predicted seconds for one execution of ``step``."""
-        return self._model(step).predict(features)
+        return self.model(step).predict(features)
 
     def observe(self, step: str, features: Sequence[float], seconds: float) -> None:
         """Refit ``step``'s coefficients from a measured execution."""
         if not self.adaptive:
             return
-        self._model(step).observe(features, seconds)
+        self.model(step).observe(features, seconds)
 
     def coefficients(self, step: str) -> list[float]:
         """Current coefficients (posterior mean) of ``step``'s formula."""
-        return [float(c) for c in self._model(step).coefficients]
+        return [float(c) for c in self.model(step).coefficients]
 
     def observation_counts(self) -> dict[str, int]:
         """Measured executions folded in so far, per instantiated step."""

@@ -1,15 +1,12 @@
 """Staged estimator-evaluation engine (full/partial fulfillment plans)."""
 
 from repro.engine.nodes import (
-    PredictContext,
-    SelProvider,
     StagedIntersect,
     StagedJoin,
     StagedNode,
     StagedProject,
     StagedScan,
     StagedSelect,
-    StagePrediction,
 )
 from repro.engine.plan import (
     DEFAULT_INITIAL_SELECTIVITY,
@@ -17,12 +14,13 @@ from repro.engine.plan import (
     StagedTerm,
     StageStats,
 )
+from repro.engine.qcost import CompiledQCost, compile_qcost
+from repro.estimation.selectivity import SelProvider
 
 __all__ = [
+    "CompiledQCost",
     "DEFAULT_INITIAL_SELECTIVITY",
-    "PredictContext",
     "SelProvider",
-    "StagePrediction",
     "StageStats",
     "StagedIntersect",
     "StagedJoin",
@@ -32,4 +30,5 @@ __all__ = [
     "StagedScan",
     "StagedSelect",
     "StagedTerm",
+    "compile_qcost",
 ]

@@ -16,9 +16,9 @@ Every node also serves the *controller*:
   stage, where "points" live in the node's own point space — the cross
   product of the base relations under it (Section 3.1's operator
   selectivity);
-* :meth:`predict` prices a candidate sample fraction using the adaptive
-  :class:`~repro.costmodel.model.CostModel`, mirroring the per-step cost
-  formulas (4.1)–(4.5) that the execution path actually charges;
+* its next stage is priced by the compiled ``QCOST`` of
+  :mod:`repro.engine.qcost`, which mirrors the per-step cost formulas
+  (4.1)–(4.5) that the execution path below actually charges;
 * execution wraps each time-consuming step in ``charger.measure`` and feeds
   the measured seconds back into the cost model (the run-time coefficient
   adjustment of Section 4).
@@ -32,7 +32,6 @@ the paper's PIE evaluation does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
@@ -67,46 +66,9 @@ if TYPE_CHECKING:
     from repro.storage.bufferpool import BufferPool
     from repro.storage.partitioned import ShardReadStats
 
-SelProvider = Callable[[SelectivityTracker, int, int], float]
-"""Strategy hook: (tracker, candidate_new_points, space_points) -> sel used."""
 
-
-@dataclass
-class StagePrediction:
-    """Controller-side forecast of one node's next stage."""
-
-    seconds: float
-    new_out_tuples: float
-    new_points: float
-
-
-class PredictContext:
-    """One prediction pass over a (possibly multi-term) staged plan.
-
-    Caches per-node results so shared scans (and shared subtrees) are priced
-    exactly once per pass, and carries the strategy's selectivity provider.
-    """
-
-    def __init__(self, fraction: float, sel_provider: SelProvider) -> None:
-        if fraction <= 0:
-            raise TimeControlError(f"candidate fraction must be positive: {fraction}")
-        self.fraction = fraction
-        self.sel_provider = sel_provider
-        self._cache: dict[int, StagePrediction] = {}
-        self.total_seconds = 0.0
-
-    def cached(self, node: "StagedNode") -> StagePrediction | None:
-        return self._cache.get(id(node))
-
-    def store(
-        self, node: "StagedNode", prediction: StagePrediction
-    ) -> StagePrediction:
-        self._cache[id(node)] = prediction
-        self.total_seconds += prediction.seconds
-        return prediction
-
-
-def _nlogn(n: float) -> float:
+def nlogn(n: float) -> float:
+    """``n·log2 n`` (0 for n ≤ 1): the sort-step feature of equation (4.3)."""
     return n * math.log2(n) if n > 1 else 0.0
 
 
@@ -117,8 +79,6 @@ class StagedNode(Protocol):
     tracker: SelectivityTracker | None
 
     def advance(self, stage: int) -> list[Row]: ...
-
-    def predict(self, ctx: PredictContext) -> StagePrediction: ...
 
     def base_scans(self) -> list["StagedScan"]: ...
 
@@ -183,15 +143,6 @@ class _NodeBase:
         else:
             new = math.prod(s.new_tuples for s in scans)
         return new
-
-    def _new_points_predicted(self, ctx: PredictContext) -> float:
-        scans = self.base_scans()
-        news = [s.predict(ctx).new_out_tuples for s in scans]
-        if self.full_fulfillment:
-            after = math.prod(s.cum_tuples + n for s, n in zip(scans, news))
-            before = math.prod(s.cum_tuples for s in scans)
-            return after - before
-        return math.prod(news)
 
     def _record(self, out_tuples: int) -> None:
         new_points = self._new_points_actual()
@@ -356,19 +307,6 @@ class StagedScan(_NodeBase):
         self._record(len(rows))  # scan "outputs" everything it reads
         return rows
 
-    def predict(self, ctx: PredictContext) -> StagePrediction:
-        cached = ctx.cached(self)
-        if cached is not None:
-            return cached
-        d = self._blocks_for(ctx.fraction)
-        seconds = (
-            self.cost_model.predict(step_names.SCAN_READ, [d, 1.0]) if d else 0.0
-        )
-        new_tuples = float(d * self.relation.blocking_factor)
-        # The final block may be partially filled; clamp by what remains.
-        new_tuples = min(new_tuples, self.relation.tuple_count - self.cum_tuples)
-        return ctx.store(self, StagePrediction(seconds, new_tuples, new_tuples))
-
     def snapshot(self) -> dict:
         token = super().snapshot()
         token["sampler"] = self.sampler.snapshot()
@@ -467,23 +405,6 @@ class StagedSelect(_NodeBase):
         self.stage = stage
         self._record(len(out))
         return out
-
-    def predict(self, ctx: PredictContext) -> StagePrediction:
-        cached = ctx.cached(self)
-        if cached is not None:
-            return cached
-        child = self.child.predict(ctx)
-        new_points = self._new_points_predicted(ctx)
-        sel = ctx.sel_provider(
-            self.tracker, max(int(new_points), 1), self.space_points()
-        )
-        out = sel * new_points
-        pages = out / self._bf()
-        seconds = self.cost_model.predict(
-            step_names.SELECT_OP, [child.new_out_tuples, pages, 1.0]
-        )
-        return ctx.store(self, StagePrediction(seconds, out, new_points))
-
 
 class _StagedBinary(_NodeBase):
     """Shared machinery of staged Join and Intersect (Figures 4.4/4.6).
@@ -645,7 +566,7 @@ class _StagedBinary(_NodeBase):
             )
         self.cost_model.observe(
             self.sort_step,
-            [_nlogn(len(new_left)) + _nlogn(len(new_right)), total_in, 1.0],
+            [nlogn(len(new_left)) + nlogn(len(new_right)), total_in, 1.0],
             meter.elapsed,
         )
 
@@ -699,7 +620,7 @@ class _StagedBinary(_NodeBase):
             right_file.replace_rows(sorted_right.tolist())
         self.cost_model.observe(
             self.sort_step,
-            [_nlogn(len(new_left)) + _nlogn(len(new_right)), total_in, 1.0],
+            [nlogn(len(new_left)) + nlogn(len(new_right)), total_in, 1.0],
             meter.elapsed,
         )
 
@@ -783,37 +704,6 @@ class _StagedBinary(_NodeBase):
         self.cum_right_in = token["cum_right_in"]
         self._left_sorted.restore(token["left_sorted"])
         self._right_sorted.restore(token["right_sorted"])
-
-    # Prediction ----------------------------------------------------------
-    def predict(self, ctx: PredictContext) -> StagePrediction:
-        cached = ctx.cached(self)
-        if cached is not None:
-            return cached
-        left = self.left.predict(ctx)
-        right = self.right.predict(ctx)
-        n1, n2 = left.new_out_tuples, right.new_out_tuples
-        s = self.stage + 1
-        new_points = self._new_points_predicted(ctx)
-        sel = ctx.sel_provider(
-            self.tracker, max(int(new_points), 1), self.space_points()
-        )
-        out = sel * new_points
-        if self.full_fulfillment:
-            # Equation (4.4): N_{1,s−1} + N_{2,s−1} + s(n_1s + n_2s).
-            reads = self.cum_left_in + self.cum_right_in + s * (n1 + n2)
-            merges = 2 * s - 1
-        else:
-            reads = n1 + n2
-            merges = 1
-        seconds = (
-            self.cost_model.predict(self.write_step, [n1 + n2, 1.0])
-            + self.cost_model.predict(
-                self.sort_step, [_nlogn(n1) + _nlogn(n2), n1 + n2, 1.0]
-            )
-            + self.cost_model.predict(self.merge_step, [reads, out, merges])
-        )
-        return ctx.store(self, StagePrediction(seconds, out, new_points))
-
 
 class StagedIntersect(_StagedBinary):
     """Staged set intersection — the only set operation the estimator runs."""
@@ -966,7 +856,7 @@ class StagedProject(_NodeBase):
             temp.replace_rows(ordered)
         self.cost_model.observe(
             step_names.PROJECT_SORT,
-            [_nlogn(len(projected)), len(projected), 1.0],
+            [nlogn(len(projected)), len(projected), 1.0],
             meter.elapsed,
         )
 
@@ -996,27 +886,6 @@ class StagedProject(_NodeBase):
         self.stage = stage
         self._record(len(new_groups))
         return new_groups
-
-    def predict(self, ctx: PredictContext) -> StagePrediction:
-        cached = ctx.cached(self)
-        if cached is not None:
-            return cached
-        child = self.child.predict(ctx)
-        n = child.new_out_tuples
-        new_points = self._new_points_predicted(ctx)
-        sel = ctx.sel_provider(
-            self.tracker, max(int(new_points), 1), self.space_points()
-        )
-        out = sel * new_points
-        pages = out / self._bf()
-        seconds = (
-            self.cost_model.predict(step_names.PROJECT_WRITE, [n, 1.0])
-            + self.cost_model.predict(
-                step_names.PROJECT_SORT, [_nlogn(n), n, 1.0]
-            )
-            + self.cost_model.predict(step_names.PROJECT_DEDUPE, [n, pages, 1.0])
-        )
-        return ctx.store(self, StagePrediction(seconds, out, new_points))
 
     def snapshot(self) -> dict:
         token = super().snapshot()

@@ -7,9 +7,10 @@ into its inclusion–exclusion terms, lowers each term through
 tree over **shared** per-relation scans, and exposes the three operations
 the time-constrained executor needs:
 
-* :meth:`predict_stage` — price a candidate sample fraction with the
-  adaptive cost model (the ``QCOST(f, SEL⁺)`` of Section 3.3, summed over
-  terms, shared scans priced once);
+* :meth:`compile_qcost` — the next stage's ``QCOST(f, SEL)`` of Section
+  3.3 (summed over terms, shared scans priced once) compiled for one stage
+  decision, which the strategies bisect on (:meth:`predict_stage` prices a
+  single fraction);
 * :meth:`advance_stage` — execute one stage over fresh sample blocks;
 * :meth:`estimate` — the current ``COUNT(E)`` estimate: per term the SRS
   point-space estimator ``û`` (or the revised Goodman estimator when the
@@ -25,17 +26,12 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.costmodel.model import CostModel
-from repro.engine.nodes import (
-    PredictContext,
-    SelProvider,
-    StagedNode,
-    StagedProject,
-    StagedScan,
-)
+from repro.engine.nodes import StagedNode, StagedProject, StagedScan
 from repro.engine.physical import (
     DEFAULT_INITIAL_SELECTIVITY,
     PhysicalPlanBuilder,
 )
+from repro.engine.qcost import CompiledQCost, compile_qcost
 from repro.errors import EstimationError
 from repro.estimation.aggregates import (
     COUNT,
@@ -50,7 +46,7 @@ from repro.estimation.count_estimators import (
 )
 from repro.estimation.estimate import Estimate
 from repro.estimation.goodman import goodman_estimate
-from repro.estimation.selectivity import SelectivityTracker
+from repro.estimation.selectivity import SelectivityTracker, SelProvider
 from repro.kernels import kernels_enabled
 from repro.observability.trace import (
     NULL_SINK,
@@ -326,12 +322,17 @@ class StagedPlan:
     # ------------------------------------------------------------------
     # Controller operations
     # ------------------------------------------------------------------
+    def compile_qcost(self, sel_provider: SelProvider) -> CompiledQCost:
+        """``QCOST(·, SEL)`` of the next stage across all terms, compiled.
+
+        Valid until the plan advances or its cost model observes: build one
+        per stage decision.
+        """
+        return compile_qcost([term.root for term in self.terms], sel_provider)
+
     def predict_stage(self, fraction: float, sel_provider: SelProvider) -> float:
         """``QCOST(f, SEL)`` of the next stage across all terms (seconds)."""
-        ctx = PredictContext(fraction, sel_provider)
-        for term in self.terms:
-            term.root.predict(ctx)
-        return ctx.total_seconds
+        return self.compile_qcost(sel_provider)(fraction)
 
     def advance_stage(self, fraction: float) -> StageStats:
         """Execute the next stage at ``fraction``; returns its statistics."""

@@ -32,6 +32,7 @@ implements:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import EstimationError
 from repro.estimation.count_estimators import srs_selectivity_variance
@@ -50,6 +51,27 @@ class StageObservation:
             raise EstimationError(
                 f"negative stage observation ({self.tuples}, {self.points})"
             )
+
+
+BoundSel = Callable[[int], float]
+"""A provider bound to one tracker: candidate new points -> sel used."""
+
+SelProvider = Callable[["SelectivityTracker", int, int], float]
+"""Strategy hook: (tracker, candidate_new_points, space_points) -> sel used.
+
+A provider may also define ``bind(tracker, space_points) -> BoundSel``, the
+same function with everything but the candidate points read once; compiled
+``QCOST`` (:mod:`repro.engine.qcost`) uses it when present.
+"""
+
+
+def _stage_variance(sel: float, candidate_points: int, remaining: int) -> float:
+    """``Var(sel_i)`` for ``candidate_points`` of ``remaining`` unseen points."""
+    if remaining <= 1:
+        return 0.0
+    return srs_selectivity_variance(
+        sel, min(candidate_points, remaining), remaining
+    )
 
 
 DEFAULT_ZERO_FIX_BETA = 0.05
@@ -206,26 +228,55 @@ class SelectivityTracker:
             raise EstimationError(
                 f"{self.label}: candidate stage must sample points"
             )
-        remaining = space_points - self.total_points
-        if remaining <= 1:
-            return 0.0
-        m_i = min(candidate_points, remaining)
-        return srs_selectivity_variance(self.effective_sel_prev(), m_i, remaining)
+        return _stage_variance(
+            self.effective_sel_prev(),
+            candidate_points,
+            space_points - self.total_points,
+        )
 
     def sel_plus(
         self, d_beta: float, candidate_points: int, space_points: int
     ) -> float:
         """``sel⁺ = sel^{i−1} + d_β·sqrt(Var(sel_i))``, clamped to (0, 1]."""
+        return self.bind_sel_plus(d_beta, space_points)(candidate_points)
+
+    def bind_sel_plus(self, d_beta: float, space_points: int) -> BoundSel:
+        """:meth:`sel_plus` as a function of the candidate points alone.
+
+        ``sel^{i−1}``, the observed points and ``d_β`` are read once here,
+        so a bisection prices each candidate without re-summing the
+        observation list.
+        """
         if d_beta < 0:
             raise EstimationError(f"d_beta must be non-negative, got {d_beta}")
-        if self.pinned:
-            return self.initial
-        if self.stages_observed == 0 and not self.has_prior:
-            # Stage 1, cold: no data — the assumed maximum stands alone.
-            return self.initial
+        if self.pinned or (self.stages_observed == 0 and not self.has_prior):
+            # Pinned, or stage 1 cold (no data): the assumed value stands.
+            initial = self.initial
+            return lambda candidate_points: initial
+        label = self.label
         sel = self.effective_sel_prev()
-        margin = d_beta * self.variance(candidate_points, space_points) ** 0.5
-        return min(max(sel + margin, 1e-12), 1.0)
+        remaining = space_points - self.total_points
+
+        def sel_plus(candidate_points: int) -> float:
+            if candidate_points <= 0:
+                raise EstimationError(
+                    f"{label}: candidate stage must sample points"
+                )
+            variance = _stage_variance(sel, candidate_points, remaining)
+            margin = d_beta * variance**0.5
+            return min(max(sel + margin, 1e-12), 1.0)
+
+        return sel_plus
+
+    def mean_selectivity(self) -> float:
+        """``sel^{i−1}`` with no risk margin (the initial value while cold).
+
+        A warm-started tracker (synopsis prior, no stages yet) reports its
+        posterior mean.
+        """
+        if self.stages_observed == 0 and not self.has_prior:
+            return self.initial
+        return self.effective_sel_prev()
 
     # ------------------------------------------------------------------
     # Series access (for the Single-Interval covariance machinery)
@@ -233,3 +284,38 @@ class SelectivityTracker:
     def per_stage_selectivities(self) -> list[float]:
         """``sel_j`` per completed stage (stages with zero points skipped)."""
         return [o.tuples / o.points for o in self.observations if o.points > 0]
+
+
+@dataclass(frozen=True)
+class SelPlusProvider:
+    """``sel⁺`` at a fixed ``d_β`` — the One-at-a-Time provider."""
+
+    d_beta: float
+
+    def __call__(
+        self, tracker: SelectivityTracker, candidate_points: int, space_points: int
+    ) -> float:
+        return tracker.sel_plus(self.d_beta, candidate_points, space_points)
+
+    def bind(self, tracker: SelectivityTracker, space_points: int) -> BoundSel:
+        return tracker.bind_sel_plus(self.d_beta, space_points)
+
+
+class MeanSelectivityProvider:
+    """Each tracker's :meth:`~SelectivityTracker.mean_selectivity`.
+
+    No risk inflation: the Single-Interval mean cost and explain's (and
+    admission's) cheapest-stage price.
+    """
+
+    def __call__(
+        self, tracker: SelectivityTracker, candidate_points: int, space_points: int
+    ) -> float:
+        return tracker.mean_selectivity()
+
+    def bind(self, tracker: SelectivityTracker, space_points: int) -> BoundSel:
+        value = tracker.mean_selectivity()
+        return lambda candidate_points: value
+
+
+MEAN_SELECTIVITY = MeanSelectivityProvider()

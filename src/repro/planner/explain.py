@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.costmodel import steps as step_names
-from repro.engine.nodes import PredictContext, StagedScan
+from repro.engine.nodes import StagedScan
+from repro.estimation.selectivity import MEAN_SELECTIVITY
 from repro.planner.rules import RuleApplication
 from repro.relational.expression import (
     Expression,
@@ -65,18 +66,6 @@ def render_tree(expr: Expression) -> str:
     return "\n".join(lines)
 
 
-def initial_selectivity_provider(tracker, new_points, space_points) -> float:
-    """Initial/running-mean selectivity — no risk inflation for pricing.
-
-    A warm-started tracker (synopsis prior, no stages yet) prices at its
-    posterior mean, so admission control sees the cheaper plan the run will
-    actually execute.
-    """
-    if tracker.stages_observed == 0 and not tracker.has_prior:
-        return tracker.initial
-    return tracker.effective_sel_prev()
-
-
 @dataclass(frozen=True)
 class NodeCost:
     """Predicted cost of one staged operator in the cheapest useful stage."""
@@ -109,16 +98,22 @@ def predicted_stage_costs(plan: "StagedPlan") -> PlanCosts:
     """Price ``plan``'s cheapest useful stage with its own cost model.
 
     Uses initial selectivities (prestored hints when the plan has them,
-    Figure 3.3's maximum otherwise) and itemizes per staged node. Pure
-    prediction: nothing is charged, sampled, or mutated.
+    Figure 3.3's maximum otherwise) and itemizes per staged node. A
+    warm-started tracker (synopsis prior, no stages yet) prices at its
+    posterior mean, so admission control sees the cheaper plan the run
+    will actually execute. Pure prediction: nothing is charged, sampled,
+    or mutated.
     """
     overhead = plan.cost_model.predict(step_names.STAGE_OVERHEAD, [1.0])
     fraction = plan.min_feasible_fraction()
     if fraction <= 0:  # nothing left to sample — only overhead remains
         return PlanCosts(0.0, overhead, 0.0, ())
-    ctx = PredictContext(fraction, initial_selectivity_provider)
-    for term in plan.terms:
-        term.root.predict(ctx)
+    qcost = plan.compile_qcost(MEAN_SELECTIVITY)
+    itemized = qcost.itemize(fraction)
+    total = 0.0
+    for node_seconds in itemized:  # post-order, the order QCOST sums in
+        total += node_seconds
+    seconds = dict(zip(map(id, qcost.nodes), itemized))
     nodes: list[NodeCost] = []
     seen: set[int] = set()
     for term in plan.terms:
@@ -126,9 +121,6 @@ def predicted_stage_costs(plan: "StagedPlan") -> PlanCosts:
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            prediction = ctx.cached(node)
-            if prediction is None:  # defensive: predict() visits every node
-                continue
             label = (
                 f"scan({node.relation.name})"
                 if isinstance(node, StagedScan)
@@ -136,8 +128,8 @@ def predicted_stage_costs(plan: "StagedPlan") -> PlanCosts:
                 if node.tracker is not None
                 else type(node).__name__
             )
-            nodes.append(NodeCost(label, prediction.seconds))
-    return PlanCosts(fraction, overhead, ctx.total_seconds, tuple(nodes))
+            nodes.append(NodeCost(label, seconds[id(node)]))
+    return PlanCosts(fraction, overhead, total, tuple(nodes))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ during a merge is charged per tuple as ``MERGE_TUPLE`` by the merge code, so
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, Sequence
 
 from repro.catalog.schema import Schema
@@ -26,10 +27,15 @@ from repro.timekeeping.profile import CostKind
 
 
 class SpoolFile:
-    """One temporary file of tuples, optionally sorted on a key."""
+    """One temporary file of tuples, optionally sorted on a key.
+
+    The file reaches its :class:`Spool` through a weak reference: the spool
+    lists its files, so a strong back-reference would make every estimate's
+    spool a reference cycle left for the cyclic garbage collector.
+    """
 
     def __init__(self, spool: "Spool", file_id: int, schema: Schema) -> None:
-        self._spool = spool
+        self._spool = weakref.ref(spool)
         self.file_id = file_id
         self.schema = schema
         self._rows: list[Row] = []
@@ -41,7 +47,7 @@ class SpoolFile:
             charger.charge(CostKind.TEMP_WRITE, len(rows))
         self._rows.extend(rows)
         self.sort_key = None  # appending invalidates sortedness
-        self._spool._note_usage()
+        self._note_usage()
         return len(rows)
 
     def mark_sorted(self, key: tuple[int, ...]) -> None:
@@ -55,7 +61,12 @@ class SpoolFile:
     def replace_rows(self, rows: list[Row]) -> None:
         """Replace contents in place (used by the external sort)."""
         self._rows = rows
-        self._spool._note_usage()
+        self._note_usage()
+
+    def _note_usage(self) -> None:
+        spool = self._spool()
+        if spool is not None:
+            spool._note_usage()
 
     def __len__(self) -> int:
         return len(self._rows)

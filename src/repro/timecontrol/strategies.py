@@ -31,12 +31,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.costmodel import steps as step_names
-from repro.engine.nodes import SelProvider
+from repro.engine.nodes import StagedNode
 from repro.engine.plan import StagedPlan
 from repro.errors import TimeControlError
-from repro.estimation.selectivity import SelectivityTracker
+from repro.estimation.selectivity import (
+    MEAN_SELECTIVITY,
+    BoundSel,
+    SelectivityTracker,
+    SelPlusProvider,
+    SelProvider,
+)
 from repro.observability.trace import FractionChosen
-from repro.timecontrol.sample_size import determine_fraction
+from repro.timecontrol.sample_size import CostFunction, determine_fraction
 
 
 class _BisectionCounter:
@@ -108,23 +114,15 @@ class OneAtATimeInterval(TimeControlStrategy):
             raise TimeControlError(f"d_beta must be >= 0, got {self.d_beta}")
 
     def sel_provider(self) -> SelProvider:
-        d_beta = self.d_beta
-
-        def provide(
-            tracker: SelectivityTracker, new_points: int, space_points: int
-        ) -> float:
-            return tracker.sel_plus(d_beta, new_points, space_points)
-
-        return provide
+        return SelPlusProvider(self.d_beta)
 
     def choose_fraction(
         self, plan: StagedPlan, remaining_seconds: float, stage: int
     ) -> float | None:
         budget = self._budget(plan, remaining_seconds)
-        provider = self.sel_provider()
         counter = _BisectionCounter()
         fraction = determine_fraction(
-            cost=lambda f: plan.predict_stage(f, provider),
+            cost=plan.compile_qcost(self.sel_provider()),
             budget_seconds=budget,
             min_fraction=plan.min_feasible_fraction(),
             max_fraction=plan.max_remaining_fraction(),
@@ -162,31 +160,10 @@ class SingleInterval(TimeControlStrategy):
 
     @staticmethod
     def _mean_provider() -> SelProvider:
-        def provide(
-            tracker: SelectivityTracker, new_points: int, space_points: int
-        ) -> float:
-            if tracker.stages_observed == 0 and not tracker.has_prior:
-                return tracker.initial
-            return tracker.effective_sel_prev()
-
-        return provide
+        return MEAN_SELECTIVITY
 
     def _bumped_provider(self, bump: SelectivityTracker) -> SelProvider:
-        step = self._gradient_step
-
-        def provide(
-            tracker: SelectivityTracker, new_points: int, space_points: int
-        ) -> float:
-            base = (
-                tracker.initial
-                if tracker.stages_observed == 0 and not tracker.has_prior
-                else tracker.effective_sel_prev()
-            )
-            if tracker is bump:
-                return min(base + step, 1.0)
-            return base
-
-        return provide
+        return _BumpedMean(bump, self._gradient_step)
 
     def _covariance(
         self, a: SelectivityTracker, b: SelectivityTracker
@@ -201,54 +178,61 @@ class SingleInterval(TimeControlStrategy):
     def _stage_cost_with_margin(
         self, plan: StagedPlan, fraction: float
     ) -> float:
-        mean_provider = self._mean_provider()
-        mu = plan.predict_stage(fraction, mean_provider)
+        return self._margin_cost(plan)(fraction)
+
+    def _margin_cost(self, plan: StagedPlan) -> CostFunction:
+        """``μ_t + d_α·sqrt(Var(t_i))`` as a function of ``f``, compiled.
+
+        The mean and one bumped QCOST per operator are compiled once; the
+        covariances and space points do not depend on ``f`` either.
+        """
+        mean = plan.compile_qcost(self._mean_provider())
         if self.d_alpha == 0:
-            return mu
+            return mean
         trackers = plan.trackers()
         # Numerical gradient of QCOST w.r.t. each operator's selectivity.
-        grads: list[float] = []
-        for tracker in trackers:
-            bumped = plan.predict_stage(fraction, self._bumped_provider(tracker))
-            grads.append((bumped - mu) / self._gradient_step)
-        variance = 0.0
-        for u, tu in enumerate(trackers):
-            # Diagonal: the SRS selectivity variance at this stage size.
-            points = self._candidate_points(plan, fraction, tu)
-            var_u = (
-                tu.variance(points, self._space_points(plan, tu))
-                if tu.stages_observed and points > 0
-                else 0.0
-            )
-            variance += grads[u] * grads[u] * var_u
-            for v in range(u + 1, len(trackers)):
-                cov = self._covariance(tu, trackers[v])
-                variance += 2.0 * grads[u] * grads[v] * cov
-        variance = max(variance, 0.0)
-        return mu + self.d_alpha * math.sqrt(variance)
+        bumped = [plan.compile_qcost(self._bumped_provider(t)) for t in trackers]
+        nodes = [self._node_of(plan, t) for t in trackers]
+        spaces = [node.space_points() for node in nodes]
+        # covariances[u]: Cov(sel_u, sel_v) for every v > u.
+        covariances = [
+            [self._covariance(tu, tv) for tv in trackers[u + 1 :]]
+            for u, tu in enumerate(trackers)
+        ]
+        step = self._gradient_step
+        d_alpha = self.d_alpha
+
+        def cost(fraction: float) -> float:
+            mu = mean(fraction)
+            grads = [(b(fraction) - mu) / step for b in bumped]
+            variance = 0.0
+            for u, tu in enumerate(trackers):
+                # Diagonal: the SRS selectivity variance at this stage size.
+                points = max(int(mean.new_points(nodes[u])), 1)
+                var_u = (
+                    tu.variance(points, spaces[u])
+                    if tu.stages_observed and points > 0
+                    else 0.0
+                )
+                variance += grads[u] * grads[u] * var_u
+                for v, cov in enumerate(covariances[u], start=u + 1):
+                    variance += 2.0 * grads[u] * grads[v] * cov
+            variance = max(variance, 0.0)
+            return mu + d_alpha * math.sqrt(variance)
+
+        return cost
 
     @staticmethod
-    def _space_points(plan: StagedPlan, tracker: SelectivityTracker) -> int:
+    def _node_of(plan: StagedPlan, tracker: SelectivityTracker) -> StagedNode:
         for term in plan.terms:
             for node in term.root.iter_nodes():
                 if node.tracker is tracker:
-                    return node.space_points()
+                    return node
         raise TimeControlError(f"tracker {tracker.label!r} not in plan")
 
     @staticmethod
-    def _candidate_points(
-        plan: StagedPlan, fraction: float, tracker: SelectivityTracker
-    ) -> int:
-        for term in plan.terms:
-            for node in term.root.iter_nodes():
-                if node.tracker is tracker:
-                    from repro.engine.nodes import PredictContext
-
-                    ctx = PredictContext(
-                        fraction, SingleInterval._mean_provider()
-                    )
-                    return max(int(node._new_points_predicted(ctx)), 1)
-        return 1
+    def _space_points(plan: StagedPlan, tracker: SelectivityTracker) -> int:
+        return SingleInterval._node_of(plan, tracker).space_points()
 
     def choose_fraction(
         self, plan: StagedPlan, remaining_seconds: float, stage: int
@@ -256,7 +240,7 @@ class SingleInterval(TimeControlStrategy):
         budget = self._budget(plan, remaining_seconds)
         counter = _BisectionCounter()
         fraction = determine_fraction(
-            cost=lambda f: self._stage_cost_with_margin(plan, f),
+            cost=self._margin_cost(plan),
             budget_seconds=budget,
             min_fraction=plan.min_feasible_fraction(),
             max_fraction=plan.max_remaining_fraction(),
@@ -269,6 +253,28 @@ class SingleInterval(TimeControlStrategy):
 
     def describe(self) -> str:
         return f"SingleInterval(d_alpha={self.d_alpha})"
+
+
+class _BumpedMean:
+    """Mean selectivities, one operator's raised by ``step`` (capped at 1)."""
+
+    __slots__ = ("bump", "step")
+
+    def __init__(self, bump: SelectivityTracker, step: float) -> None:
+        self.bump = bump
+        self.step = step
+
+    def __call__(
+        self, tracker: SelectivityTracker, new_points: int, space_points: int
+    ) -> float:
+        base = tracker.mean_selectivity()
+        if tracker is self.bump:
+            return min(base + self.step, 1.0)
+        return base
+
+    def bind(self, tracker: SelectivityTracker, space_points: int) -> BoundSel:
+        value = self(tracker, 1, space_points)
+        return lambda candidate_points: value
 
 
 @dataclass

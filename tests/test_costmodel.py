@@ -87,6 +87,49 @@ class TestOnlineLinearModel:
         model.observe([1.0, 1.0], 1.0)
         assert model.observations == 1
 
+    @pytest.mark.parametrize(
+        "features, seconds",
+        [
+            ([3.0, 1.0], float("nan")),
+            ([3.0, 1.0], float("inf")),
+            ([3.0, 1.0], float("-inf")),
+            ([float("nan"), 1.0], 0.5),
+            ([float("inf"), 1.0], 0.5),
+            ([3.0, float("-inf")], 0.5),
+        ],
+    )
+    def test_non_finite_observation_rejected_without_state_change(
+        self, spec, features, seconds
+    ):
+        model = OnlineLinearModel(spec)
+        model.observe([2.0, 1.0], 1.5)
+        coefficients = model.coefficients
+        prediction = model.predict([4.0, 1.0])
+        with pytest.raises(CostModelError):
+            model.observe(features, seconds)
+        assert model.observations == 1
+        np.testing.assert_array_equal(model.coefficients, coefficients)
+        assert model.predict([4.0, 1.0]) == prediction
+        model.observe([3.0, 1.0], 2.0)  # still learns from finite data
+        assert np.isfinite(model.coefficients).all()
+
+    def test_predict_is_left_to_right_python_sum(self):
+        model = OnlineLinearModel(
+            StepSpec("x", prior=(0.1, 0.2, 0.3), scales=(1.0, 1.0, 1.0))
+        )
+        model.observe([7.0, 3.0, 1.0], 0.9)
+        c0, c1, c2 = (float(c) for c in model.coefficients)
+        for x in ([1e6, 0.1, 1.0], [0.3, 1e-9, 7.0], [12, 5, 1]):
+            total = 0.0
+            total += c0 * x[0]
+            total += c1 * x[1]
+            total += c2 * x[2]
+            assert repr(model.predict(x)) == repr(max(total, 0.0))
+
+    def test_predict_propagates_nan(self, spec):
+        model = OnlineLinearModel(spec)
+        assert np.isnan(model.predict([float("nan"), 1.0]))
+
 
 class TestCostModel:
     def test_default_specs_cover_all_steps(self):
@@ -114,6 +157,14 @@ class TestCostModel:
         before = model.predict(SCAN_READ, [10.0, 1.0])
         model.observe(SCAN_READ, [10.0, 1.0], 0.0)
         assert model.predict(SCAN_READ, [10.0, 1.0]) == before
+        assert model.observation_counts() == {SCAN_READ: 0}
+
+    def test_nan_observation_rejected(self):
+        model = CostModel()
+        before = model.coefficients(SCAN_READ)
+        with pytest.raises(CostModelError):
+            model.observe(SCAN_READ, [3.0, 1.0], float("nan"))
+        assert model.coefficients(SCAN_READ) == before
         assert model.observation_counts() == {SCAN_READ: 0}
 
     def test_observation_counts(self):
