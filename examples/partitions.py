@@ -106,9 +106,9 @@ def main() -> None:
     )
 
     # -- 5. admission pricing can credit the parallel overlap ---------
-    session = db.open_session(panel, quota=3.0, seed=2)
-    serial = minimum_stage_cost(session)
-    overlapped = minimum_stage_cost(session, shard_parallelism=4.0)
+    plan = db.lower(panel)
+    serial = minimum_stage_cost(plan)
+    overlapped = minimum_stage_cost(plan, shard_parallelism=4.0)
     QueryServer(db, shard_parallelism=4.0)  # the server-level knob
     print(
         f"admission        : min stage cost {serial:.4f}s serial -> "

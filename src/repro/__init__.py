@@ -43,6 +43,7 @@ from repro.errors import (
     SchemaError,
     StorageError,
     TimeControlError,
+    UnboundPlanError,
 )
 from repro.estimation import AggregateSpec, Estimate, avg_of, count, sum_of
 from repro.faults import (
@@ -205,6 +206,7 @@ __all__ = [
     "SimulatedClock",
     "StorageError",
     "TimeControlError",
+    "UnboundPlanError",
     "WallClock",
     "attr",
     "avg_of",

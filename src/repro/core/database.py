@@ -32,9 +32,10 @@ from repro.catalog.schema import Attribute, Schema
 from repro.catalog.types import AttributeType
 from repro.core.options import QueryOptions
 from repro.core.result import QueryResult
-from repro.core.session import ExecutionContext, QuerySession
+from repro.core.session import ExecutionContext, QuerySession, lower_plan
 from repro.core.switches import resolve_switch
 from repro.costmodel.model import CostModel
+from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
 from repro.observability.trace import NULL_SINK, TraceSink
 from repro.relational.evaluator import ExactEvaluator
@@ -346,6 +347,80 @@ class Database:
         Call :meth:`QuerySession.run` to execute; or use the
         :meth:`estimate` one-shot convenience.
         """
+        opts, cost_model, sink, plan_options = self._resolve(
+            expr, options, overrides
+        )
+        rng = self._spawn_rng(seed)
+        injector = None
+        if opts.fault_plan is not None and opts.fault_plan.active:
+            from repro.faults.injector import FaultInjector
+
+            injector = FaultInjector.for_session(opts.fault_plan, rng, sink)
+        context = ExecutionContext(
+            rng=rng,
+            charger=self._make_charger(
+                rng, sink=sink, trace_costs=opts.trace_costs, clock=opts.clock
+            ),
+            cost_model=cost_model,
+            sink=sink,
+            injector=injector,
+        )
+        return QuerySession(
+            expr,
+            self.catalog,
+            quota,
+            context,
+            strategy=opts.strategy,
+            stopping=opts.stopping,
+            measure_overspend=opts.measure_overspend,
+            max_stages=opts.max_stages,
+            aggregate=aggregate,
+            **plan_options,
+        )
+
+    def lower(
+        self,
+        expr: Expression,
+        options: QueryOptions | None = None,
+        *,
+        aggregate: "AggregateSpec | None" = None,
+        **overrides,
+    ) -> StagedPlan:
+        """Lower ``expr`` to an *unbound* plan: priceable, never runnable.
+
+        Options resolve exactly as in :meth:`open_session` — prestored
+        hints, the synopsis binder (trackers warm-start from the catalog),
+        the buffer pool, partitions, the optimizer and the cost model — but
+        no RNG is spawned, no charger is built and no sampler permutation
+        is drawn, so the database's master seed sequence is untouched.
+        The plan can be priced (:meth:`StagedPlan.compile_qcost`,
+        :func:`~repro.planner.explain.predicted_stage_costs`) and explained;
+        its :meth:`~StagedPlan.advance_stage` raises
+        :class:`~repro.errors.UnboundPlanError`. Admission pricing and
+        :meth:`explain` run on it.
+        """
+        _, cost_model, sink, plan_options = self._resolve(
+            expr, options, overrides
+        )
+        return lower_plan(
+            expr,
+            self.catalog,
+            cost_model,
+            sink=sink,
+            aggregate=aggregate,
+            **plan_options,
+        )
+
+    def _resolve(
+        self, expr: Expression, options: QueryOptions | None, overrides: dict
+    ) -> tuple[QueryOptions, CostModel, TraceSink, dict]:
+        """Resolve options into what lowering ``expr`` needs.
+
+        Returns the merged options, the cost model, the trace sink, and the
+        remaining :func:`~repro.core.session.lower_plan` keyword arguments.
+        Shared by :meth:`open_session` and :meth:`lower`, so a run and its
+        admission price lower the same plan.
+        """
         opts = (options if options is not None else QueryOptions()).replace(
             **overrides
         )
@@ -357,7 +432,7 @@ class Database:
             hinter.require_statistics(expr)
             hint_provider = hinter.hint
 
-        resolved_sink = opts.sink if opts.sink is not None else NULL_SINK
+        sink = opts.sink if opts.sink is not None else NULL_SINK
         # None → honour the process-wide REPRO_SYNOPSES switch (default OFF:
         # the catalog carries state across runs, so replayable-by-default
         # sessions must not touch it unless asked).
@@ -365,9 +440,7 @@ class Database:
         if resolve_switch(opts.synopses, "REPRO_SYNOPSES", default=False):
             from repro.synopses.binder import SynopsisBinder
 
-            binder = SynopsisBinder(
-                self.synopses, self.catalog, sink=resolved_sink
-            )
+            binder = SynopsisBinder(self.synopses, self.catalog, sink=sink)
         # None → honour REPRO_BUFFERPOOL (default ON: the pool is a pure
         # wall-clock optimization — charged costs, estimates, and traces
         # are bit-identical either way). A BufferPool instance attaches
@@ -381,41 +454,12 @@ class Database:
             bufferpool = default_pool()
         else:
             bufferpool = None
-        rng = self._spawn_rng(seed)
-        injector = None
-        if opts.fault_plan is not None and opts.fault_plan.active:
-            from repro.faults.injector import FaultInjector
-
-            injector = FaultInjector.for_session(
-                opts.fault_plan, rng, resolved_sink
-            )
-        context = ExecutionContext(
-            rng=rng,
-            charger=self._make_charger(
-                rng,
-                sink=resolved_sink,
-                trace_costs=opts.trace_costs,
-                clock=opts.clock,
-            ),
-            cost_model=opts.cost_model
-            or CostModel(
-                specs=opts.step_specs
-                if opts.step_specs is not None
-                else self._default_specs()
-            ),
-            sink=resolved_sink,
-            injector=injector,
+        cost_model = opts.cost_model or CostModel(
+            specs=opts.step_specs
+            if opts.step_specs is not None
+            else self._default_specs()
         )
-        return QuerySession(
-            expr,
-            self.catalog,
-            quota,
-            context,
-            strategy=opts.strategy,
-            stopping=opts.stopping,
-            measure_overspend=opts.measure_overspend,
-            max_stages=opts.max_stages,
-            aggregate=aggregate,
+        plan_options = dict(
             block_size=opts.block_size or self.block_size,
             full_fulfillment=opts.full_fulfillment,
             initial_selectivities=opts.initial_selectivities,
@@ -428,6 +472,7 @@ class Database:
             bufferpool=bufferpool,
             partitions=opts.partitions,
         )
+        return opts, cost_model, sink, plan_options
 
     def explain(
         self,
@@ -439,17 +484,18 @@ class Database:
     ) -> "PlanExplanation":
         """What the planner would do with ``expr`` — without running it.
 
-        Builds two probe sessions over the live catalog — one lowering the
-        query verbatim, one through the logical optimizer — and returns a
+        Lowers two unbound plans over the live catalog (:meth:`lower`) —
+        one verbatim, one through the logical optimizer — and returns a
         :class:`~repro.planner.explain.PlanExplanation`: the before/after
         logical trees, the rule-application log, and the cost model's
         predicted price of each plan's cheapest useful stage (the same
-        number the server's admission control rules on). Neither session is
-        ever run, so explaining charges nothing to any clock::
+        number the server's admission control rules on). Unbound plans
+        cannot run, so explaining charges nothing to any clock and spawns
+        nothing from the master seed::
 
             print(db.explain(expr).render())
 
-        ``options``/``overrides`` configure the probes like
+        ``options``/``overrides`` configure both plans like
         :meth:`open_session` (e.g. ``selectivity_source='hybrid'`` explains
         with prestored hints); any explicit ``optimize`` setting is ignored
         since explain builds both variants by definition.
@@ -459,21 +505,11 @@ class Database:
         opts = (options if options is not None else QueryOptions()).replace(
             **overrides
         )
-        before = self.open_session(
-            expr,
-            quota=1.0,
-            options=opts.replace(optimize=False),
-            aggregate=aggregate,
-            seed=0,
+        before = self.lower(
+            expr, opts.replace(optimize=False), aggregate=aggregate
         )
-        after = self.open_session(
-            expr,
-            quota=1.0,
-            options=opts.replace(optimize=True),
-            aggregate=aggregate,
-            seed=0,
-        )
-        return build_explanation(before.plan, after.plan)
+        after = self.lower(expr, opts.replace(optimize=True), aggregate=aggregate)
+        return build_explanation(before, after)
 
     def estimate(
         self,

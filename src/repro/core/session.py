@@ -37,7 +37,7 @@ from repro.core.switches import resolve_partitions, resolve_switch
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
-from repro.estimation.aggregates import AggregateSpec
+from repro.estimation.aggregates import COUNT, AggregateSpec
 from repro.faults.injector import FaultInjector
 from repro.observability.trace import NULL_SINK, TraceSink
 from repro.relational.expression import Expression
@@ -53,6 +53,44 @@ from repro.timecontrol.strategies import OneAtATimeInterval, TimeControlStrategy
 from repro.timekeeping.charger import CostCharger
 
 _session_counter = itertools.count(1)
+
+
+def lower_plan(
+    expr: Expression,
+    catalog: Catalog,
+    cost_model: CostModel,
+    *,
+    charger: CostCharger | None = None,
+    rng: np.random.Generator | None = None,
+    injector: FaultInjector | None = None,
+    sink: TraceSink | None = None,
+    aggregate: AggregateSpec | None = None,
+    optimize: bool | None = None,
+    partitions: bool | int | None = None,
+    **plan_options,
+) -> StagedPlan:
+    """Lower ``expr`` to a :class:`StagedPlan` — the one lowering path.
+
+    ``optimize=None`` honours the process-wide ``REPRO_OPTIMIZE`` switch
+    (default on) and ``partitions=None`` honours ``REPRO_PARTITIONS``
+    (default on, serial); the resolved ``(enabled, workers)`` pair only
+    selects the read path over relations that actually are partitioned,
+    and invariant 10 keeps answers bit-identical either way. Without a
+    ``charger`` and ``rng`` the plan is unbound: priceable, never runnable.
+    """
+    return StagedPlan(
+        expr,
+        catalog,
+        charger,
+        cost_model,
+        rng,
+        aggregate=aggregate if aggregate is not None else COUNT,
+        sink=sink,
+        injector=injector,
+        optimize=resolve_switch(optimize, "REPRO_OPTIMIZE", default=True),
+        partitions=resolve_partitions(partitions),
+        **plan_options,
+    )
 
 
 @dataclass(frozen=True)
@@ -103,43 +141,36 @@ class QuerySession:
         bufferpool=None,
         partitions: bool | int | None = None,
     ) -> None:
-        from repro.estimation.aggregates import COUNT
-
         self.expr = expr
         self.quota = quota
         self.context = context
         self.label = f"session-{next(_session_counter)}"
-        # None → honour the process-wide REPRO_OPTIMIZE switch (default on).
-        self.optimize = resolve_switch(optimize, "REPRO_OPTIMIZE", default=True)
-        # None → honour REPRO_PARTITIONS (default on, serial). The resolved
-        # (enabled, workers) pair only selects the read path over relations
-        # that actually are partitioned; invariant 10 keeps answers
-        # bit-identical either way.
-        self.partitions = resolve_partitions(partitions)
         self.strategy = (
             strategy if strategy is not None else OneAtATimeInterval(d_beta=24.0)
         )
-        self.plan = StagedPlan(
+        self.plan = lower_plan(
             expr,
             catalog,
-            context.charger,
             context.cost_model,
-            context.rng,
+            charger=context.charger,
+            rng=context.rng,
+            injector=context.injector,
+            sink=context.sink,
+            aggregate=aggregate,
+            optimize=optimize,
+            partitions=partitions,
             block_size=block_size,
             full_fulfillment=full_fulfillment,
             initial_selectivities=initial_selectivities,
             zero_fix_beta=zero_fix_beta,
-            aggregate=aggregate if aggregate is not None else COUNT,
             hint_provider=hint_provider,
             pin_selectivities=pin_selectivities,
-            sink=context.sink,
             vectorized=vectorized,
-            injector=context.injector,
-            optimize=self.optimize,
             binder=binder,
             bufferpool=bufferpool,
-            partitions=self.partitions,
         )
+        self.optimize = self.plan.optimize
+        self.partitions = self.plan.partitions
         self.binder = binder
         self.bufferpool = bufferpool
         self.executor = TimeConstrainedExecutor(

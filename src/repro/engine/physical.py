@@ -15,6 +15,10 @@ stage regardless of how many terms consume them) and operator labels
 (``select#1``, ``join#2``, …) number consecutively across terms in
 construction order — exactly the behavior of the pre-refactor inline
 ``StagedPlan._build``.
+
+Without an RNG (``rng=None``) the builder lowers an *unbound* tree: its
+samplers skip the block permutation and its scans carry no shard seeds,
+so the tree can be priced but never advanced.
 """
 
 from __future__ import annotations
@@ -66,9 +70,9 @@ class PhysicalPlanBuilder:
     def __init__(
         self,
         catalog: Catalog,
-        charger: CostCharger,
+        charger: CostCharger | None,
         cost_model: CostModel,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         block_size: int,
         full_fulfillment: bool,
         vectorized: bool,
@@ -160,7 +164,7 @@ class PhysicalPlanBuilder:
                 # partitions on or off (invariant 10).
                 seeds = (
                     tuple(shard_seed(self.rng, i) for i in range(len(shards)))
-                    if self.partitions[0] and shards
+                    if self.partitions[0] and shards and self.rng is not None
                     else ()
                 )
                 self._scans[expr.name] = StagedScan(

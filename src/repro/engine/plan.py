@@ -15,6 +15,15 @@ the time-constrained executor needs:
 * :meth:`estimate` — the current ``COUNT(E)`` estimate: per term the SRS
   point-space estimator ``û`` (or the revised Goodman estimator when the
   term's root is a projection), combined with the terms' ± coefficients.
+
+A plan built without a charger and RNG is *unbound*
+(:meth:`~repro.core.database.Database.lower`): its samplers hold no
+permutation and its scans no shard seeds, so it can be priced and
+explained but :meth:`advance_stage` raises
+:class:`~repro.errors.UnboundPlanError`. A bound plan draws every
+sampler's permutation at construction, in first-reference order, before
+the run's first stage draws its overhead jitter — the RNG stream a run
+replays.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from repro.engine.physical import (
     PhysicalPlanBuilder,
 )
 from repro.engine.qcost import CompiledQCost, compile_qcost
-from repro.errors import EstimationError
+from repro.errors import EstimationError, UnboundPlanError
 from repro.estimation.aggregates import (
     COUNT,
     AggregateSpec,
@@ -152,9 +161,9 @@ class StagedPlan:
         self,
         expr: Expression,
         catalog: Catalog,
-        charger: CostCharger,
+        charger: CostCharger | None,
         cost_model: CostModel,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         full_fulfillment: bool = True,
         initial_selectivities: dict[str, float] | None = None,
@@ -172,6 +181,7 @@ class StagedPlan:
     ) -> None:
         self.expr = expr
         self.bufferpool = bufferpool
+        self.partitions = partitions if partitions is not None else (False, 1)
         # None → honour the process-wide REPRO_KERNELS switch (default on).
         self.vectorized = kernels_enabled() if vectorized is None else vectorized
         self.sink: TraceSink = sink if sink is not None else NULL_SINK
@@ -239,7 +249,7 @@ class StagedPlan:
             pin_selectivities=pin_selectivities,
             binder=binder,
             bufferpool=bufferpool,
-            partitions=partitions,
+            partitions=self.partitions,
         )
         self.binder = binder
         self.spool = self._builder.spool
@@ -279,6 +289,11 @@ class StagedPlan:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def bound(self) -> bool:
+        """Whether the plan has a charger and RNG stream, so it can run."""
+        return self.charger is not None and self.rng is not None
+
     @property
     def scans(self) -> list[StagedScan]:
         return self._builder.scans
@@ -336,6 +351,11 @@ class StagedPlan:
 
     def advance_stage(self, fraction: float) -> StageStats:
         """Execute the next stage at ``fraction``; returns its statistics."""
+        if not self.bound:
+            raise UnboundPlanError(
+                "this plan was lowered without a charger or RNG stream; "
+                "open a session to run it"
+            )
         if fraction <= 0:
             raise EstimationError(f"stage fraction must be positive: {fraction}")
         stage = self.stages_completed + 1

@@ -21,6 +21,13 @@ A compiled cost therefore prices the stage the plan is about to run: it is
 stale once the plan advances or a cost model observes, and strategies build
 one per ``choose_fraction``.
 
+A stage's price depends on ``f`` only through each scan's block count
+``min(max(1, round(f·D)), remaining)``. Each call computes that block
+vector once, hands it to the scan steps, and memoizes the stage total and
+every node's predicted new points under it: most bisection steps land on a
+vector already priced, and a hit restores the stored points so
+:meth:`CompiledQCost.new_points` reads the same as after a full pricing.
+
 Float-order contract: each step evaluates formulas (4.1)–(4.5) in one fixed
 order — a binary node reads ``(N_{1,s−1} + N_{2,s−1}) + s·(n_1s + n_2s)``
 tuples and costs ``write + sort + merge`` summed left to right, every
@@ -50,8 +57,11 @@ from repro.sampling.sampler import blocks_for_fraction
 
 __all__ = ["CompiledQCost", "compile_qcost", "post_order"]
 
-Step = Callable[[float], float]
-"""One node's price at a candidate fraction; records its outputs."""
+Blocks = tuple[int, ...]
+"""Blocks each scan reads at a candidate fraction, in scan post-order."""
+
+Step = Callable[[Blocks], float]
+"""One node's price under a block vector; records its outputs."""
 
 
 def _children(node: StagedNode) -> tuple[StagedNode, ...]:
@@ -92,7 +102,7 @@ class CompiledQCost:
     evaluation, :meth:`new_points` reads a node's predicted new points.
     """
 
-    __slots__ = ("nodes", "_steps", "_slots", "_points")
+    __slots__ = ("nodes", "_steps", "_slots", "_points", "_scans", "_memo")
 
     def __init__(
         self,
@@ -105,18 +115,41 @@ class CompiledQCost:
         self._steps = steps
         self._slots = slots
         self._points = points
+        # (relation, blocks still unsampled) per scan, in post-order.
+        self._scans = [
+            (node.relation, node.sampler.remaining_blocks)
+            for node in nodes
+            if isinstance(node, StagedScan)
+        ]
+        # block vector -> (stage total, every node's predicted new points)
+        self._memo: dict[Blocks, tuple[float, list[float]]] = {}
+
+    def _blocks(self, fraction: float) -> Blocks:
+        _check_fraction(fraction)
+        return tuple(
+            [
+                min(blocks_for_fraction(relation, fraction), remaining)
+                for relation, remaining in self._scans
+            ]
+        )
 
     def __call__(self, fraction: float) -> float:
-        _check_fraction(fraction)
+        blocks = self._blocks(fraction)
+        hit = self._memo.get(blocks)
+        if hit is not None:
+            total, points = hit
+            self._points[:] = points
+            return total
         total = 0.0
         for step in self._steps:
-            total += step(fraction)
+            total += step(blocks)
+        self._memo[blocks] = (total, self._points.copy())
         return total
 
     def itemize(self, fraction: float) -> list[float]:
         """Each node's predicted seconds at ``fraction``, in :attr:`nodes` order."""
-        _check_fraction(fraction)
-        return [step(fraction) for step in self._steps]
+        blocks = self._blocks(fraction)
+        return [step(blocks) for step in self._steps]
 
     def new_points(self, node: StagedNode) -> float:
         """``node``'s predicted new points at the last evaluated fraction."""
@@ -138,22 +171,28 @@ def compile_qcost(
     # predicted new points. Steps run children first, so reads are fresh.
     out = [0.0] * len(nodes)
     points = [0.0] * len(nodes)
-    steps = [
-        _compile_node(node, slots, out, points, sel_provider) for node in nodes
-    ]
+    steps: list[Step] = []
+    scan_index = 0  # scans read their entry of the block vector
+    for node in nodes:
+        slot = slots[id(node)]
+        if isinstance(node, StagedScan):
+            steps.append(_scan_step(node, slot, scan_index, out, points))
+            scan_index += 1
+        else:
+            steps.append(
+                _operator_step(node, slot, slots, out, points, sel_provider)
+            )
     return CompiledQCost(nodes, steps, slots, points)
 
 
-def _compile_node(
+def _operator_step(
     node: StagedNode,
+    slot: int,
     slots: dict[int, int],
     out: list[float],
     points: list[float],
     sel_provider: SelProvider,
 ) -> Step:
-    slot = slots[id(node)]
-    if isinstance(node, StagedScan):
-        return _scan_step(node, slot, out, points)
     new_points = _new_points(node, slots, out)
     sel = _bind(sel_provider, node)
     model = node.cost_model.model
@@ -166,7 +205,7 @@ def _compile_node(
     else:
         raise TimeControlError(f"cannot price {type(node).__name__}")
 
-    def step(fraction: float) -> float:
+    def step(blocks: Blocks) -> float:
         new = new_points()
         new_out = sel(max(int(new), 1)) * new
         out[slot] = new_out
@@ -177,18 +216,21 @@ def _compile_node(
 
 
 def _scan_step(
-    scan: StagedScan, slot: int, out: list[float], points: list[float]
+    scan: StagedScan,
+    slot: int,
+    index: int,
+    out: list[float],
+    points: list[float],
 ) -> Step:
-    """Equation (4.1)'s read: ``max(1, round(f·D))`` blocks, clamped."""
+    """Equation (4.1)'s read of ``blocks[index]`` blocks (clamped already)."""
     relation = scan.relation
-    remaining = scan.sampler.remaining_blocks
     bf = relation.blocking_factor
     # The final block may be partially filled; clamp by what remains.
     tuples_left = relation.tuple_count - scan.cum_tuples
     predict = scan.cost_model.model(step_names.SCAN_READ).predict
 
-    def step(fraction: float) -> float:
-        d = min(blocks_for_fraction(relation, fraction), remaining)
+    def step(blocks: Blocks) -> float:
+        d = blocks[index]
         new_tuples = min(float(d * bf), tuples_left)
         out[slot] = points[slot] = new_tuples
         return predict((d, 1.0)) if d else 0.0

@@ -112,6 +112,14 @@ class TimeControlError(ReproError):
     """A time-control strategy or the staged executor was misconfigured."""
 
 
+class UnboundPlanError(ReproError):
+    """An unbound plan (:meth:`Database.lower`) was asked to execute.
+
+    Unbound plans have no RNG stream, charger or sampler permutation: they
+    can be priced and explained, never run.
+    """
+
+
 class SamplingExhausted(ReproError):
     """A sampling plan was asked for more units than remain unsampled."""
 

@@ -175,8 +175,9 @@ class Select(Expression):
 
     def schema(self, catalog: Catalog) -> Schema:
         schema = self.child.schema(catalog)
-        for name in self.predicate.attributes():
-            schema.index_of(name)  # raises SchemaError if unknown
+        # SchemaError for an unknown attribute, ExpressionError for a
+        # constant or attribute the column cannot be compared with.
+        self.predicate.check_types(schema)
         return schema
 
     def children(self) -> tuple[Expression, ...]:

@@ -22,6 +22,7 @@ input tuple either way).
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -29,6 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.catalog.schema import Schema
+from repro.catalog.types import AttributeType
 from repro.errors import ExpressionError
 from repro.storage.block import Row
 
@@ -62,6 +64,16 @@ class Predicate:
 
     def attributes(self) -> set[str]:
         """Attribute names referenced by the formula."""
+        raise NotImplementedError
+
+    def check_types(self, schema: Schema) -> None:
+        """Raise unless every comparison's sides have comparable types.
+
+        Numeric attributes (INT, FLOAT) compare with int and float
+        constants and with each other; STR attributes with str constants
+        and with each other. An unknown attribute raises ``SchemaError``,
+        a type mismatch :class:`~repro.errors.ExpressionError`.
+        """
         raise NotImplementedError
 
     def canonical_str(self) -> str:
@@ -123,6 +135,26 @@ class Comparison(Predicate):
     def comparison_count(self) -> int:
         return 1
 
+    def check_types(self, schema: Schema) -> None:
+        kind = schema.attribute(self.attr).type
+        textual = kind is AttributeType.STR
+        if isinstance(self.value, Attr):
+            other = schema.attribute(self.value.name).type
+            valid = textual == (other is AttributeType.STR)
+            rhs = f"attribute {self.value.name!r} ({other.value})"
+        else:
+            valid = (
+                isinstance(self.value, str)
+                if textual
+                else _is_number(self.value)
+            )
+            rhs = f"constant {self.value!r}"
+        if not valid:
+            raise ExpressionError(
+                f"cannot compare attribute {self.attr!r} ({kind.value}) "
+                f"{self.op} {rhs}"
+            )
+
     def attributes(self) -> set[str]:
         names = {self.attr}
         if isinstance(self.value, Attr):
@@ -166,6 +198,10 @@ class And(Predicate):
     def attributes(self) -> set[str]:
         return set().union(*(p.attributes() for p in self.parts))
 
+    def check_types(self, schema: Schema) -> None:
+        for part in self.parts:
+            part.check_types(schema)
+
     def canonical_str(self) -> str:
         rendered = sorted(p.canonical_str() for p in self.parts)
         return "(" + " & ".join(rendered) + ")"
@@ -195,6 +231,10 @@ class Or(Predicate):
     def attributes(self) -> set[str]:
         return set().union(*(p.attributes() for p in self.parts))
 
+    def check_types(self, schema: Schema) -> None:
+        for part in self.parts:
+            part.check_types(schema)
+
     def canonical_str(self) -> str:
         rendered = sorted(p.canonical_str() for p in self.parts)
         return "(" + " | ".join(rendered) + ")"
@@ -220,6 +260,9 @@ class Not(Predicate):
     def attributes(self) -> set[str]:
         return self.part.attributes()
 
+    def check_types(self, schema: Schema) -> None:
+        self.part.check_types(schema)
+
     def canonical_str(self) -> str:
         return f"!{self.part.canonical_str()}"
 
@@ -240,8 +283,16 @@ class TruePredicate(Predicate):
     def attributes(self) -> set[str]:
         return set()
 
+    def check_types(self, schema: Schema) -> None:
+        pass
+
     def canonical_str(self) -> str:
         return "true"
+
+
+def _is_number(value: Any) -> bool:
+    """Int or float (NumPy scalars included), never bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def attr(name: str) -> Attr:

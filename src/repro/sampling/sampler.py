@@ -7,24 +7,40 @@ numbers and ``New-Sample-Select`` draws only new ones.
 
 :class:`BlockSampler` pre-shuffles the block ids of one relation with the
 run's RNG and hands out successive prefixes, which is exactly sampling
-without replacement with O(1) bookkeeping per stage.
+without replacement with O(1) bookkeeping per stage. A sampler built
+without an RNG is *unbound*: it skips the permutation and only answers
+how many blocks remain, which is all pricing a plan needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SamplingExhausted
+from repro.errors import SamplingExhausted, UnboundPlanError
 from repro.storage.heapfile import HeapFile
 
 
 class BlockSampler:
-    """Without-replacement block sampler over one relation."""
+    """Without-replacement block sampler over one relation.
 
-    def __init__(self, relation: HeapFile, rng: np.random.Generator) -> None:
+    ``rng=None`` builds an unbound sampler: no permutation is drawn and
+    :meth:`draw` raises :class:`~repro.errors.UnboundPlanError`.
+    """
+
+    def __init__(
+        self, relation: HeapFile, rng: np.random.Generator | None
+    ) -> None:
         self.relation = relation
-        self._order = rng.permutation(relation.block_count)
+        self._size = relation.block_count
+        self._order = (
+            rng.permutation(self._size) if rng is not None else None
+        )
         self._next = 0
+
+    @property
+    def bound(self) -> bool:
+        """Whether the sampler holds a permutation and can draw blocks."""
+        return self._order is not None
 
     @property
     def drawn_blocks(self) -> int:
@@ -34,22 +50,24 @@ class BlockSampler:
     @property
     def drawn_block_ids(self) -> list[int]:
         """The block ids handed out so far, in draw order (SAMPLE-SET)."""
+        if self._order is None:
+            return []
         return self._order[: self._next].tolist()
 
     @property
     def remaining_blocks(self) -> int:
-        return len(self._order) - self._next
+        return self._size - self._next
 
     @property
     def exhausted(self) -> bool:
-        return self._next >= len(self._order)
+        return self._next >= self._size
 
     @property
     def drawn_fraction(self) -> float:
         """Cumulative sample fraction ``d / D`` of this relation."""
-        if len(self._order) == 0:
+        if self._size == 0:
             return 1.0
-        return self._next / len(self._order)
+        return self._next / self._size
 
     def draw(self, n_blocks: int) -> list[int]:
         """Return the next ``n_blocks`` sampled block ids.
@@ -57,6 +75,11 @@ class BlockSampler:
         Raises :class:`SamplingExhausted` if fewer blocks remain; callers
         should clamp with :attr:`remaining_blocks` first (the executor does).
         """
+        if self._order is None:
+            raise UnboundPlanError(
+                f"relation {self.relation.name!r}: unbound sampler has no "
+                "permutation to draw from"
+            )
         if n_blocks < 0:
             raise SamplingExhausted(f"cannot draw {n_blocks} blocks")
         if n_blocks > self.remaining_blocks:

@@ -31,9 +31,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.core.session import QuerySession
+from typing import TYPE_CHECKING
+
 from repro.planner.explain import predicted_stage_costs
 from repro.server.request import QueryRequest
+
+if TYPE_CHECKING:
+    from repro.engine.plan import StagedPlan
 
 
 class AdmissionAction(enum.Enum):
@@ -82,16 +86,17 @@ class AdmissionDecision:
 
 
 def minimum_stage_cost(
-    session: QuerySession, shard_parallelism: float = 1.0
+    plan: "StagedPlan", shard_parallelism: float = 1.0
 ) -> float:
-    """Price of the cheapest useful stage of ``session``'s plan (seconds).
+    """Price of the cheapest useful stage of ``plan`` (seconds).
 
     Stage overhead plus ``QCOST`` at the minimum feasible fraction (one new
     block on the smallest relation), under the plan's initial selectivities.
-    Evaluated on a probe session that is never run, so pricing charges
-    nothing to any clock. The pricing routine is shared with
-    ``Database.explain`` (:func:`repro.planner.explain.
-    predicted_stage_costs`), and the probe plan is built exactly like the
+    Admission prices an unbound plan (:meth:`Database.lower
+    <repro.core.database.Database.lower>`), so pricing charges nothing to
+    any clock and draws nothing from any RNG. The pricing routine is shared
+    with ``Database.explain`` (:func:`repro.planner.explain.
+    predicted_stage_costs`), and the plan is lowered exactly like the
     dispatch plan — optimizer included — so admission rules on the plan
     that will actually execute.
 
@@ -103,12 +108,12 @@ def minimum_stage_cost(
     applies only to scans over relations that really have more than one
     shard; operator compute and stage overhead are priced undiscounted.
     """
-    costs = predicted_stage_costs(session.plan)
+    costs = predicted_stage_costs(plan)
     if shard_parallelism <= 1.0:
         return costs.total
     shard_counts = {
         scan.relation.name: len(getattr(scan.relation, "shards", ()) or ())
-        for scan in session.plan.scans
+        for scan in plan.scans
     }
     discount = 0.0
     for node in costs.nodes:

@@ -366,25 +366,21 @@ class QueryServer:
     def _minimum_cost(self, request: QueryRequest) -> float:
         """Price the cheapest useful stage with the calibrated cost model.
 
-        The probe session is never run: construction charges nothing, so
-        pricing is free on the server timeline. A fixed probe seed keeps
-        the database's master seed sequence untouched (probe RNG streams
-        are never drawn from). With synopses on, lowering the probe
-        warm-starts its trackers from the catalog, so the price reflects
-        the posterior selectivities the run would actually start from.
+        Prices an unbound plan (:meth:`Database.lower`) lowered with the
+        dispatch session's options: no RNG is spawned and no sampler is
+        permuted, so pricing is free on the server timeline and leaves the
+        database's master seed sequence untouched. With synopses on,
+        lowering warm-starts the plan's trackers from the catalog, so the
+        price reflects the posterior selectivities the run would actually
+        start from.
         """
-        probe = self.database.open_session(
+        plan = self.database.lower(
             request.expr,
-            quota=request.quota,
             aggregate=request.aggregate,
             cost_model=self._cost_model,
-            seed=0,
-            clock=self.clock,
             **self._session_overrides(),
         )
-        return minimum_stage_cost(
-            probe, shard_parallelism=self.shard_parallelism
-        )
+        return minimum_stage_cost(plan, shard_parallelism=self.shard_parallelism)
 
     def _on_arrival(
         self,

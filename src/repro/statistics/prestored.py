@@ -36,6 +36,7 @@ run-time defaults.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Mapping
 
 from repro.catalog.catalog import Catalog
@@ -163,6 +164,8 @@ class SelectivityHinter:
         if isinstance(predicate, Comparison):
             if isinstance(predicate.value, Attr):
                 return None  # attribute-to-attribute: no joint statistics
+            if not isinstance(predicate.value, numbers.Real):
+                return None  # histograms order numbers only
             stats = self._stats_for_attribute(child, predicate.attr)
             if stats is None:
                 return None

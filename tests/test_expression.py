@@ -16,7 +16,7 @@ from repro.relational.expression import (
     select,
     union,
 )
-from repro.relational.predicate import cmp
+from repro.relational.predicate import attr, cmp
 
 
 class TestRelationRef:
@@ -44,6 +44,40 @@ class TestSelect:
         e = select(rel("r1"), cmp("ghost", "<", 5))
         with pytest.raises(SchemaError):
             e.schema(small_catalog)
+
+
+    def test_numeric_constants_valid_on_numeric_columns(self, small_catalog):
+        import numpy as np
+
+        for value in (5, 2.5, np.int64(3), np.float64(0.5), float("nan")):
+            select(rel("r1"), cmp("a", "<", value)).schema(small_catalog)
+        select(rel("r1"), cmp("a", "<", attr("id"))).schema(small_catalog)
+
+    @pytest.mark.parametrize("value", ["x", "5", True, None, (1,)])
+    def test_non_numeric_constant_rejected(self, small_catalog, value):
+        e = select(rel("r1"), cmp("a", "==", value))
+        with pytest.raises(ExpressionError, match="cannot compare"):
+            e.schema(small_catalog)
+
+    def test_mismatch_found_inside_combinators(self, small_catalog):
+        bad = cmp("a", "<", 3) & ~(cmp("id", ">", 1) | cmp("a", "==", "x"))
+        with pytest.raises(ExpressionError):
+            select(rel("r1"), bad).schema(small_catalog)
+
+    def test_string_columns_compare_with_strings_only(self):
+        from repro.catalog.catalog import Catalog
+        from repro.catalog.schema import Schema
+        from tests.conftest import make_relation
+
+        schema = Schema.of(id=AttributeType.INT, name=AttributeType.STR)
+        catalog = Catalog()
+        catalog.register(
+            "people", make_relation("people", schema, [(1, "ann"), (2, "bo")])
+        )
+        select(rel("people"), cmp("name", "==", "bo")).schema(catalog)
+        for bad in (cmp("name", "==", 3), cmp("name", "<", attr("id"))):
+            with pytest.raises(ExpressionError):
+                select(rel("people"), bad).schema(catalog)
 
 
 class TestProject:

@@ -367,28 +367,26 @@ class TestAdmissionPricing:
             rows=[(i, i % 9) for i in range(8_000)],
             partitions=partitions,
         )
-        return db.open_session(
-            rel("r1").where(cmp("a", "<", 5)), quota=5.0, seed=0
-        )
+        return db.lower(rel("r1").where(cmp("a", "<", 5)))
 
     def test_parallelism_discounts_partitioned_scans(self):
         from repro.server.admission import minimum_stage_cost
 
-        session = self.probe(partitions=4)
-        serial = minimum_stage_cost(session)
-        assert minimum_stage_cost(session, shard_parallelism=1.0) == serial
-        overlapped = minimum_stage_cost(session, shard_parallelism=4.0)
+        plan = self.probe(partitions=4)
+        serial = minimum_stage_cost(plan)
+        assert minimum_stage_cost(plan, shard_parallelism=1.0) == serial
+        overlapped = minimum_stage_cost(plan, shard_parallelism=4.0)
         assert 0 < overlapped < serial
         # The overlap caps at the shard count.
-        capped = minimum_stage_cost(session, shard_parallelism=64.0)
-        assert capped == minimum_stage_cost(session, shard_parallelism=4.0)
+        capped = minimum_stage_cost(plan, shard_parallelism=64.0)
+        assert capped == minimum_stage_cost(plan, shard_parallelism=4.0)
 
     def test_unpartitioned_relations_are_never_discounted(self):
         from repro.server.admission import minimum_stage_cost
 
-        session = self.probe(partitions=None)
-        serial = minimum_stage_cost(session)
-        assert minimum_stage_cost(session, shard_parallelism=8.0) == serial
+        plan = self.probe(partitions=None)
+        serial = minimum_stage_cost(plan)
+        assert minimum_stage_cost(plan, shard_parallelism=8.0) == serial
 
     def test_server_threads_the_knob(self):
         from repro.server.scheduler import QueryServer

@@ -395,6 +395,48 @@ def test_explain_itemization_matches_tree_walk(plan):
         )
 
 
+def every_provider(plan):
+    """One-at-a-Time, Single-Interval mean and bumped, and a plain callable."""
+    strategy = SingleInterval()
+    providers = [OneAtATimeInterval(d_beta=d).sel_provider() for d in (0.0, 24.0)]
+    providers.append(strategy._mean_provider())
+    providers.extend(strategy._bumped_provider(t) for t in plan.trackers())
+    providers.append(ref_sel_plus(12.0))
+    return providers
+
+
+def count_pricings(compiled):
+    """Wrap ``compiled``'s first step; one entry per full pricing."""
+    runs = []
+    first = compiled._steps[0]
+
+    def step(blocks):
+        runs.append(blocks)
+        return first(blocks)
+
+    compiled._steps[0] = step
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=staged_plan(), fs=fractions, nudge=st.floats(0.0, 1e-6))
+def test_block_vector_memo_is_invisible(plan, fs, nudge):
+    # Revisit every fraction, also slightly moved, in another order: the
+    # block vectors repeat, and hits interleave with fresh pricings.
+    sequence = fs + [f * (1.0 + nudge) for f in reversed(fs)] + fs
+    for provider in every_provider(plan):
+        compiled = plan.compile_qcost(provider)
+        runs = count_pricings(compiled)
+        for f in sequence:
+            total = compiled(f)
+            fresh = plan.compile_qcost(provider)
+            assert same(total, fresh(f))
+            for node in compiled.nodes:
+                assert same(compiled.new_points(node), fresh.new_points(node))
+        assert len(runs) < len(sequence)  # the memo answered some calls
+        assert len(runs) == len(set(runs))  # each vector priced once
+
+
 # ----------------------------------------------------------------------
 # Hand-picked cases
 # ----------------------------------------------------------------------

@@ -47,26 +47,21 @@ def query():
 
 class TestMinimumStageCost:
     def test_positive_and_small_relative_to_a_generous_quota(self, db):
-        probe = db.open_session(query(), quota=10.0, seed=0)
-        cost = minimum_stage_cost(probe)
+        cost = minimum_stage_cost(db.lower(query()))
         assert cost > 0
         assert cost < 10.0
 
     def test_probe_pricing_charges_nothing(self, db):
         probe = db.open_session(query(), quota=10.0, seed=0)
         before = probe.context.charger.clock.now()
-        minimum_stage_cost(probe)
+        minimum_stage_cost(probe.plan)
         assert probe.context.charger.clock.now() == before
 
     def test_price_reflects_query_shape(self, bare_db):
         from repro.relational.expression import intersect
 
-        sel = minimum_stage_cost(bare_db.open_session(query(), quota=10.0, seed=0))
-        both = minimum_stage_cost(
-            bare_db.open_session(
-                intersect(rel("r1"), rel("r2")), quota=10.0, seed=0
-            )
-        )
+        sel = minimum_stage_cost(bare_db.lower(query()))
+        both = minimum_stage_cost(bare_db.lower(intersect(rel("r1"), rel("r2"))))
         assert both > sel  # two relations' minimum stage costs more than one
 
 
@@ -177,6 +172,41 @@ class TestDegradePathThroughServer:
         assert "analyze" in outcome.reason
         assert server.metrics.count(Outcome.UNCOVERED) == 1
         assert server.metrics.count(Outcome.REJECTED) == 0
+
+
+class TestTypeMismatchedPredicate:
+    """A constant the column cannot be compared with is rejected at the
+    boundary: admission cannot plan it, and nothing is charged."""
+
+    @staticmethod
+    def mismatched():
+        return select(rel("r1"), cmp("a", ">", "x"))
+
+    @pytest.mark.parametrize("policy", [RejectInfeasible(), DegradeInfeasible()])
+    def test_server_rejects_without_raising_or_advancing(self, db, policy):
+        server = QueryServer(db, policy=policy)
+        outcomes = server.process(
+            [QueryRequest(expr=self.mismatched(), quota=10.0, seed=1)]
+        )
+        assert [o.outcome for o in outcomes] == [Outcome.REJECTED]
+        assert "cannot be planned" in outcomes[0].reason
+        assert server.clock.now() == 0.0
+
+    def test_estimate_raises_before_any_charge(self, db):
+        from repro.errors import ExpressionError
+        from repro.timekeeping.clock import SimulatedClock
+
+        clock = SimulatedClock()
+        with pytest.raises(ExpressionError, match="cannot compare"):
+            db.estimate(self.mismatched(), quota=10.0, clock=clock)
+        assert clock.now() == 0.0
+
+    def test_hinter_declines_a_non_numeric_constant(self, db):
+        from repro.statistics.prestored import SelectivityHinter
+
+        hinter = SelectivityHinter(db.statistics, db.catalog)
+        assert hinter.hint(self.mismatched()) is None
+        assert hinter.hint(query()) is not None
 
 
 class TestQueryRequest:
