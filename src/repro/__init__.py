@@ -53,11 +53,7 @@ from repro.faults import (
     FaultRecord,
     FaultSalvaged,
 )
-from repro.kernels import (
-    KernelCacheInfo,
-    clear_kernel_cache,
-    kernel_cache_info,
-)
+from repro.kernels import KernelCacheInfo
 from repro.observability import (
     JsonlSink,
     NullSink,
@@ -66,13 +62,7 @@ from repro.observability import (
     TraceEvent,
     TraceSink,
 )
-from repro.planner import (
-    PlanExplanation,
-    RuleApplication,
-    clear_plan_cache,
-    optimizer_enabled,
-    plan_cache_info,
-)
+from repro.planner import PlanExplanation, RuleApplication, optimizer_enabled
 from repro.relational import (
     attr,
     cmp,
@@ -90,24 +80,10 @@ from repro.storage.bufferpool import (
     BufferPool,
     BufferPoolInfo,
     PooledBatch,
-    bufferpool_cache_info,
-    clear_bufferpool_cache,
     default_pool,
     invalidate_bufferpool_relation,
 )
-from repro.storage.events import (
-    BufferEvicted,
-    BufferHit,
-    BufferInvalidated,
-    ShardMerged,
-    ShardScanStarted,
-)
-from repro.storage.partitioned import (
-    HeapShard,
-    PartitionedHeapFile,
-    ShardCacheInfo,
-    invalidate_shard_cache_relation,
-)
+from repro.storage.events import BufferEvicted, BufferHit, BufferInvalidated
 from repro.synopses import (
     SynopsisBinder,
     SynopsisCatalog,
@@ -163,13 +139,11 @@ __all__ = [
     "FaultSalvaged",
     "FixedFractionHeuristic",
     "HardDeadline",
-    "HeapShard",
     "InjectedFault",
     "JsonlSink",
     "KernelCacheInfo",
     "NullSink",
     "OneAtATimeInterval",
-    "PartitionedHeapFile",
     "PlanExplanation",
     "PooledBatch",
     "QueryOptions",
@@ -178,9 +152,6 @@ __all__ = [
     "RecordingSink",
     "RuleApplication",
     "RunReport",
-    "ShardCacheInfo",
-    "ShardMerged",
-    "ShardScanStarted",
     "TeeSink",
     "TraceEvent",
     "TraceSink",
@@ -210,11 +181,7 @@ __all__ = [
     "WallClock",
     "attr",
     "avg_of",
-    "bufferpool_cache_info",
     "caches",
-    "clear_bufferpool_cache",
-    "clear_kernel_cache",
-    "clear_plan_cache",
     "cmp",
     "count",
     "count_exact",
@@ -223,11 +190,8 @@ __all__ = [
     "expand_count",
     "intersect",
     "invalidate_bufferpool_relation",
-    "invalidate_shard_cache_relation",
     "join",
-    "kernel_cache_info",
     "optimizer_enabled",
-    "plan_cache_info",
     "project",
     "rel",
     "select",

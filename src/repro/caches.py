@@ -1,14 +1,10 @@
 """Unified management surface for every process-wide cache.
 
-The library grew four process-wide caches, each with its own pair of
-module-level helpers (``kernel_cache_info``/``clear_kernel_cache``,
-``plan_cache_info``/``clear_plan_cache``, ``bufferpool_cache_info``/
-``clear_bufferpool_cache``, and the shard-metadata cache). This module
-replaces that sprawl with one registry of named handles::
+One registry of named handles covers the library's process-wide caches::
 
     from repro import caches
 
-    caches.names()                    # ('kernels', 'plans', 'bufferpool', 'shards')
+    caches.names()                    # ('kernels', 'plans', 'bufferpool')
     caches.info()                     # {name: info dataclass} for all caches
     caches.get("plans").info()        # one cache's counters
     caches.get("bufferpool").clear()  # drop one cache
@@ -17,11 +13,10 @@ replaces that sprawl with one registry of named handles::
 Each handle's ``info()`` returns that cache's own counters dataclass
 (every one carries at least ``hits``/``misses``/``maxsize``/``currsize``,
 ``lru_cache.cache_info()``-style), and ``clear()`` empties the cache and
-resets its counters. The six pre-existing module-level helpers still work
-but emit :class:`DeprecationWarning` and delegate here; *relation-keyed
-invalidation* hooks (``invalidate_plan_cache_relation``,
-``invalidate_bufferpool_relation``, ``invalidate_shard_cache_relation``)
-are not deprecated — they are mutation plumbing, not management surface.
+resets its counters. *Relation-keyed invalidation* hooks
+(``invalidate_plan_cache_relation``, ``invalidate_bufferpool_relation``)
+live with their caches: they are mutation plumbing, not management
+surface.
 
 The registry holds no cache state itself: handles call through to the
 owning modules, so a cache's behavior is unchanged whether it is managed
@@ -41,7 +36,7 @@ class CacheHandle:
     """One named cache: ``info()`` for counters, ``clear()`` to empty it.
 
     ``description`` says what the cache holds and what clearing costs
-    (all four are pure optimizations — clearing is always safe).
+    (all three are pure optimizations — clearing is always safe).
     """
 
     name: str
@@ -86,27 +81,15 @@ def _plans_clear() -> None:
 
 
 def _bufferpool_info() -> Any:
-    from repro.storage.bufferpool import _bufferpool_cache_info
+    from repro.storage.bufferpool import default_pool
 
-    return _bufferpool_cache_info()
+    return default_pool().info()
 
 
 def _bufferpool_clear() -> None:
-    from repro.storage.bufferpool import _clear_bufferpool_cache
+    from repro.storage.bufferpool import default_pool
 
-    _clear_bufferpool_cache()
-
-
-def _shards_info() -> Any:
-    from repro.storage.partitioned import shard_cache_info
-
-    return shard_cache_info()
-
-
-def _shards_clear() -> None:
-    from repro.storage.partitioned import clear_shard_cache
-
-    clear_shard_cache()
+    default_pool().clear()
 
 
 _REGISTRY: tuple[CacheHandle, ...] = (
@@ -129,13 +112,6 @@ _REGISTRY: tuple[CacheHandle, ...] = (
         "(repro.storage.bufferpool)",
         _bufferpool_info,
         _bufferpool_clear,
-    ),
-    CacheHandle(
-        "shards",
-        "partition-assignment metadata cache "
-        "(repro.storage.partitioned)",
-        _shards_info,
-        _shards_clear,
     ),
 )
 

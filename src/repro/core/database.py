@@ -22,7 +22,6 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -123,36 +122,9 @@ class Database:
         schema: Schema | Sequence[tuple[str, str]],
         rows: Iterable[Sequence],
         block_size: int | None = None,
-        partitions: int | None = None,
-        partition_strategy: str = "round_robin",
     ) -> HeapFile:
-        """Create and bulk-load a stored relation.
-
-        ``partitions=K`` (K >= 1) stores the relation as a
-        :class:`~repro.storage.partitioned.PartitionedHeapFile` split into
-        K deterministic shards (``partition_strategy`` is ``"round_robin"``
-        or ``"hash"``). Partitioning happens at block granularity, so the
-        global block layout — and therefore every sample, estimate, and
-        charged cost — is bit-identical to the unpartitioned relation
-        (invariant 10); shards only unlock the parallel read path
-        (``QueryOptions(partitions=N)``).
-        """
-        if partitions is not None and partitions >= 1:
-            from repro.storage.partitioned import PartitionedHeapFile
-
-            heap: HeapFile = PartitionedHeapFile(
-                name,
-                _resolve_schema(schema),
-                block_size or self.block_size,
-                partitions=partitions,
-                strategy=partition_strategy,
-            )
-        elif partitions is not None:
-            raise ReproError(f"partitions must be >= 1: {partitions}")
-        else:
-            heap = HeapFile(
-                name, _resolve_schema(schema), block_size or self.block_size
-            )
+        """Create and bulk-load a stored relation."""
+        heap = HeapFile(name, _resolve_schema(schema), block_size or self.block_size)
         heap.load(rows)
         self.catalog.register(name, heap)
         return heap
@@ -184,20 +156,17 @@ class Database:
         One breath evicts every derived layer: plan-cache entries
         fingerprinted over the relation, its prestored statistics, the
         synopsis catalog's entries, every buffer pool's cached blocks
-        (:mod:`repro.storage.bufferpool` broadcasts across live pools),
-        and the shard-metadata cache's assignments for the relation.
+        (:mod:`repro.storage.bufferpool` broadcasts across live pools).
         Realtime :class:`~repro.realtime.transaction.WriteTask` commits
         land here too, via :meth:`append_rows`.
         """
         from repro.planner.cache import invalidate_plan_cache_relation
         from repro.storage.bufferpool import invalidate_bufferpool_relation
-        from repro.storage.partitioned import invalidate_shard_cache_relation
 
         invalidate_plan_cache_relation(name)
         self.statistics.pop(name, None)
         self.synopses.invalidate_relation(name)
         invalidate_bufferpool_relation(name)
-        invalidate_shard_cache_relation(name)
 
     def relation(self, name: str) -> HeapFile:
         return self.catalog.get(name)
@@ -288,8 +257,7 @@ class Database:
 
         if spec.kind == "count":
             return float(self.count(expr))
-        schema = expr.schema(self.catalog)
-        index = schema.index_of(spec.attribute)
+        index = spec.value_index(expr.schema(self.catalog))
         rows = rows_exact(expr, self.catalog)
         total = float(sum(row[index] for row in rows))
         if spec.kind == "sum":
@@ -390,7 +358,7 @@ class Database:
 
         Options resolve exactly as in :meth:`open_session` — prestored
         hints, the synopsis binder (trackers warm-start from the catalog),
-        the buffer pool, partitions, the optimizer and the cost model — but
+        the buffer pool, the optimizer and the cost model — but
         no RNG is spawned, no charger is built and no sampler permutation
         is drawn, so the database's master seed sequence is untouched.
         The plan can be priced (:meth:`StagedPlan.compile_qcost`,
@@ -470,7 +438,6 @@ class Database:
             optimize=opts.optimize,
             binder=binder,
             bufferpool=bufferpool,
-            partitions=opts.partitions,
         )
         return opts, cost_model, sink, plan_options
 
@@ -553,46 +520,3 @@ class Database:
         return self.open_session(
             expr, quota, options, aggregate=agg, seed=seed, **overrides
         ).run()
-
-    # ------------------------------------------------------------------
-    # Deprecated one-shot conveniences (use :meth:`estimate`)
-    # ------------------------------------------------------------------
-    def count_estimate(
-        self, expr: Expression, quota: float, **kwargs
-    ) -> QueryResult:
-        """Deprecated: use ``estimate(expr, quota=quota, ...)``."""
-        warnings.warn(
-            "Database.count_estimate() is deprecated; use "
-            "Database.estimate(expr, quota=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate(expr, quota=quota, **kwargs)
-
-    def sum_estimate(
-        self, expr: Expression, attribute: str, quota: float, **kwargs
-    ) -> QueryResult:
-        """Deprecated: use ``estimate(expr, sum_of(attr), quota=quota)``."""
-        from repro.estimation.aggregates import sum_of
-
-        warnings.warn(
-            "Database.sum_estimate() is deprecated; use "
-            "Database.estimate(expr, sum_of(attribute), quota=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate(expr, sum_of(attribute), quota=quota, **kwargs)
-
-    def avg_estimate(
-        self, expr: Expression, attribute: str, quota: float, **kwargs
-    ) -> QueryResult:
-        """Deprecated: use ``estimate(expr, avg_of(attr), quota=quota)``."""
-        from repro.estimation.aggregates import avg_of
-
-        warnings.warn(
-            "Database.avg_estimate() is deprecated; use "
-            "Database.estimate(expr, avg_of(attribute), quota=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate(expr, avg_of(attribute), quota=quota, **kwargs)

@@ -60,13 +60,6 @@ class QueryOptions:
     force the process-wide pool on or off, and a
     :class:`~repro.storage.bufferpool.BufferPool` instance attaches that
     specific pool (isolated pools for tests and experiments).
-    ``partitions`` selects sharded execution over partitioned relations
-    (:mod:`repro.storage.partitioned`): ``None`` honours
-    ``REPRO_PARTITIONS`` (default *on*, serial — invariant 10 makes the
-    sharded path bit-identical to the global one); ``False`` (or ``0``)
-    forces the global unsharded read path even on partitioned relations;
-    ``True`` forces the sharded path with one worker; an integer ``N >= 1``
-    forces it with ``N`` shard workers (a pure wall-clock knob).
     """
 
     strategy: "TimeControlStrategy | None" = None
@@ -86,7 +79,6 @@ class QueryOptions:
     optimize: bool | None = None
     synopses: bool | None = None
     bufferpool: "bool | BufferPool | None" = None
-    partitions: bool | int | None = None
     block_size: int | None = None
     fault_plan: "FaultPlan | None" = None
 
@@ -100,15 +92,6 @@ class QueryOptions:
             raise ReproError(f"max_stages must be >= 1: {self.max_stages}")
         if self.block_size is not None and self.block_size <= 0:
             raise ReproError(f"block_size must be positive: {self.block_size}")
-        if (
-            self.partitions is not None
-            and not isinstance(self.partitions, bool)
-            and self.partitions < 0
-        ):
-            raise ReproError(
-                f"partitions must be a bool or a worker count >= 0: "
-                f"{self.partitions}"
-            )
 
     def replace(self, **changes) -> "QueryOptions":
         """A copy with the given fields changed (unknown names rejected)."""

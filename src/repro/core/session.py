@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.core.result import QueryResult
-from repro.core.switches import resolve_partitions, resolve_switch
+from repro.core.switches import resolve_switch
 from repro.costmodel.model import CostModel
 from repro.engine.plan import StagedPlan
 from repro.errors import ReproError
@@ -66,17 +66,13 @@ def lower_plan(
     sink: TraceSink | None = None,
     aggregate: AggregateSpec | None = None,
     optimize: bool | None = None,
-    partitions: bool | int | None = None,
     **plan_options,
 ) -> StagedPlan:
     """Lower ``expr`` to a :class:`StagedPlan` — the one lowering path.
 
     ``optimize=None`` honours the process-wide ``REPRO_OPTIMIZE`` switch
-    (default on) and ``partitions=None`` honours ``REPRO_PARTITIONS``
-    (default on, serial); the resolved ``(enabled, workers)`` pair only
-    selects the read path over relations that actually are partitioned,
-    and invariant 10 keeps answers bit-identical either way. Without a
-    ``charger`` and ``rng`` the plan is unbound: priceable, never runnable.
+    (default on). Without a ``charger`` and ``rng`` the plan is unbound:
+    priceable, never runnable.
     """
     return StagedPlan(
         expr,
@@ -88,7 +84,6 @@ def lower_plan(
         sink=sink,
         injector=injector,
         optimize=resolve_switch(optimize, "REPRO_OPTIMIZE", default=True),
-        partitions=resolve_partitions(partitions),
         **plan_options,
     )
 
@@ -139,7 +134,6 @@ class QuerySession:
         optimize: bool | None = None,
         binder=None,
         bufferpool=None,
-        partitions: bool | int | None = None,
     ) -> None:
         self.expr = expr
         self.quota = quota
@@ -158,7 +152,6 @@ class QuerySession:
             sink=context.sink,
             aggregate=aggregate,
             optimize=optimize,
-            partitions=partitions,
             block_size=block_size,
             full_fulfillment=full_fulfillment,
             initial_selectivities=initial_selectivities,
@@ -170,7 +163,6 @@ class QuerySession:
             bufferpool=bufferpool,
         )
         self.optimize = self.plan.optimize
-        self.partitions = self.plan.partitions
         self.binder = binder
         self.bufferpool = bufferpool
         self.executor = TimeConstrainedExecutor(

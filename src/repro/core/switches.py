@@ -9,8 +9,6 @@ comparison, CI matrix legs, and bit-identity regression runs:
   (:func:`repro.planner.optimizer_enabled`);
 * ``REPRO_SYNOPSES`` — the cross-query synopsis catalog;
 * ``REPRO_BUFFERPOOL`` — the decoded-block buffer pool;
-* ``REPRO_PARTITIONS`` — sharded execution over partitioned relations
-  (an integer value also sets the shard worker count);
 * ``REPRO_PREEMPT`` — the query server's stage-boundary EDF preemption
   (default off; off is byte-identical to run-to-completion serving).
 
@@ -68,53 +66,6 @@ def resolve_switch(explicit: bool | None, name: str, default: bool = True) -> bo
 
 
 # ----------------------------------------------------------------------
-# Partitioned execution (value is (enabled, workers), not just a bool)
-# ----------------------------------------------------------------------
-def env_partitions(name: str = "REPRO_PARTITIONS") -> tuple[bool, int]:
-    """Resolve the partitions switch from the environment.
-
-    Unset → on with one (serial) shard worker. A falsey spelling → off.
-    An integer ``N >= 1`` → on with ``N`` shard workers (``0`` → off).
-    Any other truthy value → on, serial.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return True, 1
-    text = raw.strip().lower()
-    if text in _FALSEY:
-        return False, 1
-    try:
-        workers = int(text)
-    except ValueError:
-        return True, 1
-    if workers < 1:
-        return False, 1
-    return True, workers
-
-
-def resolve_partitions(explicit: "bool | int | None") -> tuple[bool, int]:
-    """Resolve the partitions switch to ``(enabled, workers)``.
-
-    ``None`` falls back to :func:`env_partitions`; ``True``/``False``
-    force the sharded path on (serial) or off; an integer ``N >= 1``
-    forces it on with ``N`` shard workers (``0`` forces it off). Note the
-    switch governs the *execution path* only — how many shards a relation
-    has is fixed at :meth:`~repro.core.database.Database.create_relation`
-    time, and invariant 10 makes the answers identical either way.
-    """
-    if explicit is None:
-        return env_partitions()
-    if explicit is True:
-        return True, 1
-    if explicit is False:
-        return False, 1
-    workers = int(explicit)
-    if workers < 1:
-        return False, 1
-    return True, workers
-
-
-# ----------------------------------------------------------------------
 # The introspectable switch inventory
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -123,7 +74,7 @@ class Switch:
 
     name: str
     """Registry key: ``kernels`` / ``optimize`` / ``synopses`` /
-    ``bufferpool`` / ``partitions``."""
+    ``bufferpool`` / ``preempt``."""
 
     title: str
     """Human-readable name used in the docs table."""
@@ -137,7 +88,7 @@ class Switch:
     env: str
     """The environment variable."""
 
-    default: "bool | tuple[bool, int]"
+    default: bool
     """Built-in default when nothing else is set."""
 
     default_label: str
@@ -182,15 +133,6 @@ SWITCHES: tuple[Switch, ...] = (
         default_label="on",
     ),
     Switch(
-        name="partitions",
-        title="partitioned execution",
-        option="partitions",
-        option_note=" (also takes a worker count)",
-        env="REPRO_PARTITIONS",
-        default=(True, 1),
-        default_label="on, 1 worker",
-    ),
-    Switch(
         name="preempt",
         title="EDF preemption",
         option="preempt",
@@ -209,33 +151,16 @@ class SwitchState:
     name: str
     option: str
     env: str
-    value: "bool | tuple[bool, int]"
+    value: bool
     source: str
     """``explicit`` > ``options`` > ``env`` > ``default`` — whichever won."""
 
-    default: "bool | tuple[bool, int]"
+    default: bool
 
     @property
     def enabled(self) -> bool:
-        """The switch's on/off reading regardless of its value shape."""
-        if isinstance(self.value, tuple):
-            return bool(self.value[0])
-        return bool(self.value)
-
-
-def _resolve_state(switch: Switch, raw: object, source: str) -> SwitchState:
-    if switch.name == "partitions":
-        value: "bool | tuple[bool, int]" = resolve_partitions(raw)  # type: ignore[arg-type]
-    else:
-        value = bool(raw)
-    return SwitchState(
-        name=switch.name,
-        option=switch.option,
-        env=switch.env,
-        value=value,
-        source=source,
-        default=switch.default,
-    )
+        """The switch's on/off reading."""
+        return self.value
 
 
 def describe(options=None, explicit=None) -> tuple[SwitchState, ...]:
@@ -244,7 +169,7 @@ def describe(options=None, explicit=None) -> tuple[SwitchState, ...]:
     ``options`` is an optional :class:`~repro.core.options.QueryOptions`
     (or anything duck-typed with the option fields); ``explicit`` is an
     optional mapping from option field name (``vectorized`` / ``optimize``
-    / ``synopses`` / ``bufferpool`` / ``partitions``) to the per-session
+    / ``synopses`` / ``bufferpool`` / ``preempt``) to the per-session
     kwarg value. Resolution is the engine's: explicit > options > env >
     default.
     """
@@ -252,36 +177,23 @@ def describe(options=None, explicit=None) -> tuple[SwitchState, ...]:
     states: list[SwitchState] = []
     for switch in SWITCHES:
         raw = explicit.get(switch.option)
+        source = "explicit"
+        if raw is None and options is not None:
+            raw = getattr(options, switch.option, None)
+            source = "options"
         if raw is not None:
-            states.append(_resolve_state(switch, raw, "explicit"))
-            continue
-        raw = getattr(options, switch.option, None) if options is not None else None
-        if raw is not None:
-            states.append(_resolve_state(switch, raw, "options"))
-            continue
-        if os.environ.get(switch.env) is not None:
-            if switch.name == "partitions":
-                value: "bool | tuple[bool, int]" = env_partitions(switch.env)
-            else:
-                value = env_switch(switch.env, bool(switch.default))
-            states.append(
-                SwitchState(
-                    name=switch.name,
-                    option=switch.option,
-                    env=switch.env,
-                    value=value,
-                    source="env",
-                    default=switch.default,
-                )
-            )
-            continue
+            value = bool(raw)
+        elif os.environ.get(switch.env) is not None:
+            value, source = env_switch(switch.env, switch.default), "env"
+        else:
+            value, source = switch.default, "default"
         states.append(
             SwitchState(
                 name=switch.name,
                 option=switch.option,
                 env=switch.env,
-                value=switch.default,
-                source="default",
+                value=value,
+                source=source,
                 default=switch.default,
             )
         )

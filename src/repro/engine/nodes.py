@@ -64,7 +64,6 @@ from repro.timekeeping.profile import CostKind
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
     from repro.storage.bufferpool import BufferPool
-    from repro.storage.partitioned import ShardReadStats
 
 
 def nlogn(n: float) -> float:
@@ -208,8 +207,6 @@ class StagedScan(_NodeBase):
         vectorized: bool = False,
         injector: "FaultInjector | None" = None,
         bufferpool: "BufferPool | None" = None,
-        partitions: tuple[bool, int] | None = None,
-        shard_seeds: tuple[int, ...] = (),
     ) -> None:
         super().__init__(
             charger,
@@ -227,16 +224,6 @@ class StagedScan(_NodeBase):
         self.cum_tuples = 0
         self.new_tuples = 0
         self._stage_rows: list[Row] = []
-        # Sharded execution: only when the switch is on AND the relation
-        # actually is partitioned. The global sampler permutation is drawn
-        # either way, so the switch never perturbs the session RNG stream.
-        enabled, workers = partitions if partitions is not None else (False, 1)
-        self.sharded = bool(enabled) and bool(getattr(relation, "shards", None))
-        self.shard_workers = max(1, workers)
-        self.shard_seeds = shard_seeds
-        # Per-shard tallies of the latest sharded stage read; StagedPlan
-        # turns them into ShardScanStarted/ShardMerged trace events.
-        self.last_shard_stats: "list[ShardReadStats]" = []
 
     def base_scans(self) -> list["StagedScan"]:
         return [self]
@@ -266,21 +253,7 @@ class StagedScan(_NodeBase):
         batch: ColumnBatch | None = None
         with self.charger.measure() as meter:
             block_ids = self.sampler.draw(d)
-            if self.sharded:
-                # Shard workers materialize each shard's drawn blocks in
-                # parallel (wall-clock only); the relation replays the
-                # reference bounds → charge → injector → pool sequence per
-                # block in global draw order, so charged costs and fault
-                # streams are bit-identical to the unsharded branches below.
-                rows, batch, self.last_shard_stats = self.relation.read_sharded(
-                    block_ids,
-                    self.charger,
-                    injector=self.injector,
-                    pool=self.bufferpool,
-                    workers=self.shard_workers,
-                    decoded=self.vectorized,
-                )
-            elif self.bufferpool is not None and self.vectorized:
+            if self.bufferpool is not None and self.vectorized:
                 # Pooled + columnar: resident blocks hand back their
                 # decode-once arrays. Charges and injector consultations
                 # are issued per block exactly as on the plain path.

@@ -17,8 +17,8 @@ construction order — exactly the behavior of the pre-refactor inline
 ``StagedPlan._build``.
 
 Without an RNG (``rng=None``) the builder lowers an *unbound* tree: its
-samplers skip the block permutation and its scans carry no shard seeds,
-so the tree can be priced but never advanced.
+samplers skip the block permutation, so the tree can be priced but never
+advanced.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.relational.expression import (
     RelationRef,
     Select,
 )
-from repro.sampling.sampler import BlockSampler, shard_seed
+from repro.sampling.sampler import BlockSampler
 from repro.storage.spool import Spool
 from repro.timekeeping.charger import CostCharger
 
@@ -82,7 +82,6 @@ class PhysicalPlanBuilder:
         pin_selectivities: bool = False,
         binder: "SynopsisBinder | None" = None,
         bufferpool: "BufferPool | None" = None,
-        partitions: tuple[bool, int] | None = None,
     ) -> None:
         self.catalog = catalog
         self.charger = charger
@@ -93,7 +92,6 @@ class PhysicalPlanBuilder:
         self.vectorized = vectorized
         self.injector = injector
         self.bufferpool = bufferpool
-        self.partitions = partitions if partitions is not None else (False, 1)
         self._hint_provider = hint_provider
         self._pin_selectivities = pin_selectivities
         self._binder = binder
@@ -157,22 +155,10 @@ class PhysicalPlanBuilder:
         if isinstance(expr, RelationRef):
             if expr.name not in self._scans:
                 relation = self.catalog.get(expr.name)
-                shards = getattr(relation, "shards", ())
-                # Per-shard seeds derive from the session RNG's seed
-                # material without consuming the stream: the sampler's
-                # global permutation below draws identically with
-                # partitions on or off (invariant 10).
-                seeds = (
-                    tuple(shard_seed(self.rng, i) for i in range(len(shards)))
-                    if self.partitions[0] and shards and self.rng is not None
-                    else ()
-                )
                 self._scans[expr.name] = StagedScan(
                     relation,
                     BlockSampler(relation, self.rng),
                     bufferpool=self.bufferpool,
-                    partitions=self.partitions,
-                    shard_seeds=seeds,
                     **self._common_kwargs(),
                 )
             return self._scans[expr.name]

@@ -18,9 +18,8 @@ the time-constrained executor needs:
 
 A plan built without a charger and RNG is *unbound*
 (:meth:`~repro.core.database.Database.lower`): its samplers hold no
-permutation and its scans no shard seeds, so it can be priced and
-explained but :meth:`advance_stage` raises
-:class:`~repro.errors.UnboundPlanError`. A bound plan draws every
+permutation, so it can be priced and explained but :meth:`advance_stage`
+raises :class:`~repro.errors.UnboundPlanError`. A bound plan draws every
 sampler's permutation at construction, in first-reference order, before
 the run's first stage draws its overhead jitter — the RNG stream a run
 replays.
@@ -69,7 +68,6 @@ from repro.observability.trace import (
 from repro.relational.expression import Expression
 from repro.relational.inclusion_exclusion import expand_count
 from repro.sampling.point_space import PointSpace
-from repro.storage.events import ShardMerged, ShardScanStarted
 from repro.storage.heapfile import DEFAULT_BLOCK_SIZE
 from repro.timekeeping.charger import CostCharger
 
@@ -177,11 +175,9 @@ class StagedPlan:
         optimize: bool = False,
         binder: "SynopsisBinder | None" = None,
         bufferpool: "BufferPool | None" = None,
-        partitions: tuple[bool, int] | None = None,
     ) -> None:
         self.expr = expr
         self.bufferpool = bufferpool
-        self.partitions = partitions if partitions is not None else (False, 1)
         # None → honour the process-wide REPRO_KERNELS switch (default on).
         self.vectorized = kernels_enabled() if vectorized is None else vectorized
         self.sink: TraceSink = sink if sink is not None else NULL_SINK
@@ -249,7 +245,6 @@ class StagedPlan:
             pin_selectivities=pin_selectivities,
             binder=binder,
             bufferpool=bufferpool,
-            partitions=self.partitions,
         )
         self.binder = binder
         self.spool = self._builder.spool
@@ -269,7 +264,7 @@ class StagedPlan:
                 block_counts=tuple(s.relation.block_count for s in scans),
             )
             value_index = (
-                root.schema.index_of(aggregate.attribute)
+                aggregate.value_index(root.schema)
                 if aggregate.needs_values
                 else None
             )
@@ -365,36 +360,6 @@ class StagedPlan:
             scan_blocks_before = scan.blocks_drawn
             scan.advance(stage, fraction)
             if trace:
-                # Shard events precede the merged ScanAdvance, mirroring
-                # execution: shards read, then merge in global draw order.
-                # They appear only on the sharded path — invariant 10 pins
-                # estimates/costs/schedules, not traces, partitions on/off.
-                if scan.sharded and scan.last_shard_stats:
-                    for shard_stat in scan.last_shard_stats:
-                        seed = (
-                            scan.shard_seeds[shard_stat.shard]
-                            if shard_stat.shard < len(scan.shard_seeds)
-                            else 0
-                        )
-                        self.sink.emit(
-                            ShardScanStarted(
-                                relation=scan.relation.name,
-                                shard=shard_stat.shard,
-                                stage=stage,
-                                blocks=shard_stat.blocks,
-                                tuples=shard_stat.tuples,
-                                seed=seed,
-                            )
-                        )
-                    self.sink.emit(
-                        ShardMerged(
-                            relation=scan.relation.name,
-                            stage=stage,
-                            shards=len(scan.last_shard_stats),
-                            blocks=scan.blocks_drawn - scan_blocks_before,
-                            tuples=scan.new_tuples,
-                        )
-                    )
                 self.sink.emit(
                     ScanAdvance(
                         stage=stage,

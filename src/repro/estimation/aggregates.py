@@ -26,9 +26,14 @@ ill-defined, so the staged engine rejects SUM/AVG over Project.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.errors import EstimationError
+from repro.catalog.types import AttributeType
+from repro.errors import EstimationError, ExpressionError
 from repro.estimation.estimate import Estimate
+
+if TYPE_CHECKING:
+    from repro.catalog.schema import Schema
 
 
 @dataclass
@@ -171,6 +176,22 @@ class AggregateSpec:
     @property
     def needs_values(self) -> bool:
         return self.kind in ("sum", "avg")
+
+    def value_index(self, schema: "Schema") -> int:
+        """Position of the aggregated attribute in ``schema``.
+
+        SUM and AVG add values up, so the attribute must be INT or FLOAT;
+        anything else raises :class:`~repro.errors.ExpressionError` at bind
+        time, before a run charges anything.
+        """
+        index = schema.index_of(self.attribute)
+        kind = schema.attributes[index].type
+        if kind not in (AttributeType.INT, AttributeType.FLOAT):
+            raise ExpressionError(
+                f"{self.kind.upper()}({self.attribute}) needs a numeric "
+                f"attribute, not {kind.value}"
+            )
+        return index
 
 
 COUNT = AggregateSpec("count")

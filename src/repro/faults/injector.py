@@ -101,7 +101,6 @@ class FaultInjector:
         self._stage = 0
         self._attempts: dict[int, int] = {}
         self._forced_fired = False
-        self._shards_fired: set[int] = set()
 
     @classmethod
     def for_session(
@@ -145,16 +144,13 @@ class FaultInjector:
         relation: str,
         block_id: int,
         charger: CostCharger,
-        shard: int | None = None,
     ) -> None:
         """Hook called by the storage layer after one charged block read.
 
         May raise :class:`InjectedFault` (read error — the charged I/O time
         is already wasted) or charge a raw slow-read penalty on ``charger``
         (which itself may raise ``QuotaExpired`` under an armed hard
-        deadline, exactly like genuinely slow I/O would). ``shard`` is the
-        block's shard index when the relation is partitioned (``None``
-        otherwise); the scheduled ``fail_shards`` faults key on it.
+        deadline, exactly like genuinely slow I/O would).
         """
         plan = self.plan
         if (
@@ -165,18 +161,6 @@ class FaultInjector:
             and not self._exhausted()
         ):
             self._forced_fired = True
-            self._raise_read_error(relation, block_id, charger, scheduled=True)
-        if (
-            plan.fail_shards
-            and shard is not None
-            and shard in plan.fail_shards
-            and shard not in self._shards_fired
-            and not self._exhausted()
-        ):
-            # Once per shard per session, without consuming the RNG stream:
-            # probabilistic fault schedules replay identically regardless of
-            # shard targets. Salvage retries re-read the shard unharmed.
-            self._shards_fired.add(shard)
             self._raise_read_error(relation, block_id, charger, scheduled=True)
         if self._exhausted():
             return

@@ -38,15 +38,6 @@ class FaultPlan:
         Stage indices whose *first* attempt deterministically fails on its
         first block read — the scheduled half of the plan, used by the
         salvage tests to place a fault at an exact stage.
-    fail_shards:
-        Shard indices (of a :class:`~repro.storage.partitioned.
-        PartitionedHeapFile`) whose first block read deterministically
-        fails, once per shard per session — the shard-targeted analogue of
-        ``fail_stages``. Fires without consuming the fault RNG stream, so
-        probabilistic schedules replay identically with or without shard
-        targets, and fires on the partitioned *and* unpartitioned read
-        paths alike (reads of plain heap files, which have no shards, are
-        never affected).
     max_injections:
         Cap on the total number of injected faults (errors + stalls +
         overruns); ``None`` is unlimited.
@@ -65,7 +56,6 @@ class FaultPlan:
     stage_overrun_prob: float = 0.0
     stage_overrun_seconds: float = 0.0
     fail_stages: tuple[int, ...] = ()
-    fail_shards: tuple[int, ...] = ()
     max_injections: int | None = None
     salvage: str = "continue"
     seed_salt: int = 0
@@ -96,11 +86,8 @@ class FaultPlan:
             raise ReproError(f"seed_salt must be non-negative: {self.seed_salt}")
         if any(s < 1 for s in self.fail_stages):
             raise ReproError(f"fail_stages must be >= 1: {self.fail_stages}")
-        if any(s < 0 for s in self.fail_shards):
-            raise ReproError(f"fail_shards must be >= 0: {self.fail_shards}")
         # Normalise so plan equality is schedule equality.
         object.__setattr__(self, "fail_stages", tuple(self.fail_stages))
-        object.__setattr__(self, "fail_shards", tuple(self.fail_shards))
 
     @property
     def active(self) -> bool:
@@ -112,5 +99,4 @@ class FaultPlan:
             or self.slow_read_prob > 0
             or self.stage_overrun_prob > 0
             or self.fail_stages
-            or self.fail_shards
         )

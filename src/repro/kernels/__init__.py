@@ -23,9 +23,7 @@ from repro.kernels.cache import (
     CompiledPredicate,
     KernelCacheInfo,
     cached_sort_key,
-    clear_kernel_cache,
     compiled_predicate,
-    kernel_cache_info,
 )
 from repro.kernels.columns import ColumnBatch, column_array, columnize
 from repro.kernels.runs import (
@@ -56,13 +54,11 @@ __all__ = [
     "KeyedRows",
     "SortedRun",
     "cached_sort_key",
-    "clear_kernel_cache",
     "column_array",
     "columnize",
     "compiled_predicate",
     "encode_columns",
     "first_occurrence",
-    "kernel_cache_info",
     "kernels_enabled",
     "match_pairs",
     "stable_lexsort",

@@ -13,7 +13,6 @@ the cache is an optimization, never a requirement.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -89,25 +88,3 @@ def _clear_kernel_cache() -> None:
     """Drop both compile LRUs and reset their counters (tests)."""
     _cached_compile.cache_clear()
     cached_sort_key.cache_clear()
-
-
-def kernel_cache_info() -> KernelCacheInfo:
-    """Deprecated: use ``repro.caches.get("kernels").info()``."""
-    warnings.warn(
-        "kernel_cache_info() is deprecated; use "
-        "repro.caches.get('kernels').info() or repro.caches.info()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _kernel_cache_info()
-
-
-def clear_kernel_cache() -> None:
-    """Deprecated: use ``repro.caches.get("kernels").clear()``."""
-    warnings.warn(
-        "clear_kernel_cache() is deprecated; use "
-        "repro.caches.get('kernels').clear() or repro.caches.clear()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _clear_kernel_cache()

@@ -33,11 +33,7 @@ requests are admitted against the plan that will actually run.
 from __future__ import annotations
 
 from repro.core.switches import env_switch
-from repro.planner.cache import (
-    PlanCacheInfo,
-    clear_plan_cache,
-    plan_cache_info,
-)
+from repro.planner.cache import PlanCacheInfo
 from repro.planner.explain import (
     NodeCost,
     PlanCosts,
@@ -92,11 +88,9 @@ __all__ = [
     "SelectionFusion",
     "SetOpNormalize",
     "build_explanation",
-    "clear_plan_cache",
     "default_rules",
     "optimize_expression",
     "optimizer_enabled",
-    "plan_cache_info",
     "plan_logical",
     "predicted_stage_costs",
     "render_tree",

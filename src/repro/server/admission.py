@@ -85,9 +85,7 @@ class AdmissionDecision:
     reason: str
 
 
-def minimum_stage_cost(
-    plan: "StagedPlan", shard_parallelism: float = 1.0
-) -> float:
+def minimum_stage_cost(plan: "StagedPlan") -> float:
     """Price of the cheapest useful stage of ``plan`` (seconds).
 
     Stage overhead plus ``QCOST`` at the minimum feasible fraction (one new
@@ -99,31 +97,8 @@ def minimum_stage_cost(
     predicted_stage_costs`), and the plan is lowered exactly like the
     dispatch plan — optimizer included — so admission rules on the plan
     that will actually execute.
-
-    ``shard_parallelism > 1`` discounts the *scan* portion of the price
-    for partitioned relations: a relation split into K shards read by W
-    workers overlaps its block I/O up to ``min(W, K)``-way, so the wall
-    clock a dispatch slot actually occupies shrinks even though the
-    *charged* simulated cost is invariant (invariant 10). The discount
-    applies only to scans over relations that really have more than one
-    shard; operator compute and stage overhead are priced undiscounted.
     """
-    costs = predicted_stage_costs(plan)
-    if shard_parallelism <= 1.0:
-        return costs.total
-    shard_counts = {
-        scan.relation.name: len(getattr(scan.relation, "shards", ()) or ())
-        for scan in plan.scans
-    }
-    discount = 0.0
-    for node in costs.nodes:
-        if not (node.label.startswith("scan(") and node.label.endswith(")")):
-            continue
-        shards = shard_counts.get(node.label[len("scan(") : -1], 0)
-        if shards > 1:
-            overlap = min(shard_parallelism, float(shards))
-            discount += node.seconds - node.seconds / overlap
-    return costs.total - discount
+    return predicted_stage_costs(plan).total
 
 
 class AdmissionPolicy:

@@ -163,13 +163,6 @@ class QueryServer:
         Simulated seconds charged to the request's own budget before each
         retry, scaled by the attempt number and capped at the remaining
         budget.
-    shard_parallelism:
-        Effective shard-read overlap admission pricing assumes for
-        partitioned relations (default 1 — no discount). A server whose
-        sessions run with ``partitions=W`` workers sets this to ``W`` so
-        the feasibility floor reflects the shorter wall-clock slot a
-        sharded scan actually occupies; charged simulated costs are
-        unaffected (invariant 10).
     preempt:
         ``None`` → honour ``REPRO_PREEMPT`` (default off). When on,
         dispatched queries may be suspended at stage boundaries in favour
@@ -191,7 +184,6 @@ class QueryServer:
         retry_backoff: float = 0.05,
         synopses: bool | None = None,
         bufferpool: bool | None = None,
-        shard_parallelism: float = 1.0,
         preempt: bool | None = None,
     ) -> None:
         if database.clock_kind != "simulated":
@@ -220,11 +212,6 @@ class QueryServer:
             raise ValueError(f"retry_backoff cannot be negative: {retry_backoff}")
         self.max_fault_retries = max_fault_retries
         self.retry_backoff = retry_backoff
-        if shard_parallelism < 1.0:
-            raise ValueError(
-                f"shard_parallelism must be >= 1: {shard_parallelism}"
-            )
-        self.shard_parallelism = shard_parallelism
         # None → honour REPRO_SYNOPSES (default off). When on, every
         # session the server opens reads/feeds the database's synopsis
         # catalog, degrade answers prefer recorded synopses, and the
@@ -380,7 +367,7 @@ class QueryServer:
             cost_model=self._cost_model,
             **self._session_overrides(),
         )
-        return minimum_stage_cost(plan, shard_parallelism=self.shard_parallelism)
+        return minimum_stage_cost(plan)
 
     def _on_arrival(
         self,

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -315,18 +314,11 @@ class BufferPool:
         Called on committed mutations, in the same breath as plan-cache
         and synopsis invalidation. Pinned entries are dropped from the
         pool too: a batch already holding them keeps its (pre-mutation)
-        arrays alive, but no future read can see them. Entries admitted
-        under the relation's shard views (``"<name>/shard<i>"``, see
-        :class:`~repro.storage.partitioned.HeapShard`) are dropped in the
-        same sweep. Returns the number of entries dropped.
+        arrays alive, but no future read can see them. Returns the number
+        of entries dropped.
         """
-        shard_prefix = name + "/shard"
         with self._lock:
-            doomed = [
-                key
-                for key in self._entries
-                if key[0] == name or key[0].startswith(shard_prefix)
-            ]
+            doomed = [key for key in self._entries if key[0] == name]
             for key in doomed:
                 del self._entries[key]
             self._invalidations += len(doomed)
@@ -365,7 +357,7 @@ class BufferPool:
 
 
 # ----------------------------------------------------------------------
-# Process-wide default pool + the unified cache-introspection surface
+# Process-wide default pool
 # ----------------------------------------------------------------------
 _all_pools: "weakref.WeakSet[BufferPool]" = weakref.WeakSet()
 
@@ -375,38 +367,6 @@ _DEFAULT_POOL = BufferPool()
 def default_pool() -> BufferPool:
     """The process-wide pool sessions share when ``REPRO_BUFFERPOOL`` is on."""
     return _DEFAULT_POOL
-
-
-def _bufferpool_cache_info() -> BufferPoolInfo:
-    """Counters of the process-wide default pool (non-deprecated impl)."""
-    return _DEFAULT_POOL.info()
-
-
-def _clear_bufferpool_cache() -> None:
-    """Drop all entries of the default pool and reset its counters."""
-    _DEFAULT_POOL.clear()
-
-
-def bufferpool_cache_info() -> BufferPoolInfo:
-    """Deprecated alias — use ``repro.caches.get("bufferpool").info()``."""
-    warnings.warn(
-        "bufferpool_cache_info() is deprecated; use "
-        "repro.caches.get('bufferpool').info() or repro.caches.info()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _bufferpool_cache_info()
-
-
-def clear_bufferpool_cache() -> None:
-    """Deprecated alias — use ``repro.caches.get("bufferpool").clear()``."""
-    warnings.warn(
-        "clear_bufferpool_cache() is deprecated; use "
-        "repro.caches.get('bufferpool').clear() or repro.caches.clear()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _clear_bufferpool_cache()
 
 
 def invalidate_bufferpool_relation(name: str) -> int:

@@ -62,37 +62,3 @@ class BufferInvalidated(TraceEvent):
     relation: str = ""
     entries: int = 0
 
-
-@register_event_type
-@dataclass(frozen=True)
-class ShardScanStarted(TraceEvent):
-    """One shard's portion of a sharded stage read.
-
-    Unlike buffer events, shard events **do** flow into per-session trace
-    sinks: invariant 10 pins estimates, charged costs, and stage schedules
-    bit-identical partitions on/off, but explicitly lets traces differ by
-    these shard markers. ``seed`` is the shard's derived stream identity
-    (:func:`~repro.sampling.derive_shard_rng` seeded from the session seed
-    without consuming the session stream).
-    """
-
-    kind: ClassVar[str] = "shard_scan_started"
-    relation: str = ""
-    shard: int = 0
-    stage: int = 0
-    blocks: int = 0
-    tuples: int = 0
-    seed: int = 0
-
-
-@register_event_type
-@dataclass(frozen=True)
-class ShardMerged(TraceEvent):
-    """Per-shard results of one stage merged back in global draw order."""
-
-    kind: ClassVar[str] = "shard_merged"
-    relation: str = ""
-    stage: int = 0
-    shards: int = 0
-    blocks: int = 0
-    tuples: int = 0

@@ -96,15 +96,6 @@ class HeapFile:
     def __len__(self) -> int:
         return self._tuple_count
 
-    def _injector_shard(self, block_id: int) -> int | None:
-        """Which shard (if any) a block belongs to, for shard-targeted faults.
-
-        Plain heap files have no shards; :class:`~repro.storage.partitioned.
-        PartitionedHeapFile` overrides this so shard faults fire identically
-        on the sharded and the inherited global read paths (invariant 10).
-        """
-        return None
-
     # ------------------------------------------------------------------
     # Reads (charged)
     # ------------------------------------------------------------------
@@ -130,9 +121,7 @@ class HeapFile:
             )
         charger.charge(CostKind.BLOCK_READ, 1)
         if injector is not None:
-            injector.on_block_read(
-                self.name, block_id, charger, shard=self._injector_shard(block_id)
-            )
+            injector.on_block_read(self.name, block_id, charger)
         return list(self._blocks[block_id].rows)
 
     def read_blocks(
@@ -210,9 +199,7 @@ class HeapFile:
                 )
             charger.charge(CostKind.BLOCK_READ, 1)
             if injector is not None:
-                injector.on_block_read(
-                    self.name, block_id, charger, shard=self._injector_shard(block_id)
-                )
+                injector.on_block_read(self.name, block_id, charger)
             entry, hit = pool.get_or_admit(self, block_id, prefix)
             hits += hit
             entries.append(entry)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.database import Database
-from repro.errors import EstimationError
+from repro.errors import EstimationError, ExpressionError
 from repro.estimation.aggregates import (
     COUNT,
     AggregateSpec,
@@ -19,6 +19,8 @@ from repro.estimation.aggregates import (
 from repro.estimation.count_estimators import srs_count_estimate
 from repro.relational.expression import join, project, rel, select, union
 from repro.relational.predicate import cmp
+from repro.server import Outcome, QueryRequest, QueryServer
+from repro.timekeeping.clock import SimulatedClock
 from repro.timekeeping.profile import MachineProfile
 
 
@@ -203,3 +205,58 @@ class TestDatabaseAggregates:
         expr = select(rel("r1"), cmp("a", "<", 5))
         result = db.estimate(expr, sum_of("v"), quota=3.0, seed=2)
         assert result.estimate is None or "SUM" in result.summary()
+
+
+@pytest.fixture
+def typed_db():
+    """INT, STR and FLOAT attributes; ``n`` holds numeric-looking strings."""
+    database = Database(seed=3)
+    database.create_relation(
+        "r",
+        [("a", "int"), ("s", "str"), ("n", "str"), ("f", "float")],
+        rows=[(i, f"x{i}", str(i), i / 4) for i in range(500)],
+    )
+    database.create_relation(
+        "q", [("a", "int"), ("t", "str")], rows=[(i, f"y{i}") for i in range(50)]
+    )
+    return database
+
+
+class TestAggregateAttributeTypes:
+    """SUM/AVG need a numeric attribute; anything else fails at bind time."""
+
+    @pytest.mark.parametrize("spec", [sum_of("s"), avg_of("s"), sum_of("n")])
+    def test_estimate_rejects_before_any_charge(self, typed_db, spec):
+        clock = SimulatedClock()
+        with pytest.raises(ExpressionError, match="numeric"):
+            typed_db.estimate(rel("r"), spec, quota=10.0, seed=1, clock=clock)
+        assert clock.now() == 0.0
+
+    @pytest.mark.parametrize("spec", [sum_of("s"), avg_of("n")])
+    def test_exact_aggregate_rejects(self, typed_db, spec):
+        with pytest.raises(ExpressionError, match="numeric"):
+            typed_db.aggregate(rel("r"), spec)
+
+    def test_join_output_attribute_is_checked(self, typed_db):
+        expr = join(rel("r"), rel("q"), on=["a"])
+        with pytest.raises(ExpressionError):
+            typed_db.lower(expr, aggregate=avg_of("t"))
+        assert typed_db.lower(expr, aggregate=avg_of("f")).terms
+
+    def test_server_rejects_without_running(self, typed_db):
+        server = QueryServer(typed_db)
+        request = QueryRequest(
+            expr=rel("r"), quota=5.0, aggregate=avg_of("s"), arrival=0.0
+        )
+        (outcome,) = server.process([request])
+        assert outcome.outcome is Outcome.REJECTED
+        assert "numeric" in outcome.reason
+        assert server.clock.now() == 0.0
+
+    @pytest.mark.parametrize("attribute", ["a", "f"])
+    def test_int_and_float_attributes_still_aggregate(self, typed_db, attribute):
+        for spec in (sum_of(attribute), avg_of(attribute)):
+            exact = typed_db.aggregate(rel("r"), spec)
+            result = typed_db.estimate(rel("r"), spec, quota=1e9, seed=2)
+            assert result.exact
+            assert result.value == pytest.approx(exact)

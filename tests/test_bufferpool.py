@@ -3,8 +3,8 @@
 Covers the pool in isolation — hit/miss accounting, LRU order, capacity
 and eviction, pinning via live :class:`PooledBatch` objects, decode-once
 column sharing, explicit invalidation, event emission and JSONL round-trip,
-and the unified ``*_cache_info()`` / ``clear_*_cache()`` surface shared
-with the planner and kernel caches. Engine-level identity contracts live
+and the unified ``repro.caches`` surface shared with the planner and
+kernel caches. Engine-level identity contracts live
 in ``test_bufferpool_identity.py``.
 """
 
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import caches
+from repro.errors import StorageError
 from repro.kernels import KernelCacheInfo
 from repro.kernels.columns import ColumnBatch
 from repro.observability import RecordingSink
@@ -28,6 +29,8 @@ from repro.storage.bufferpool import (
     invalidate_bufferpool_relation,
 )
 from repro.storage.events import BufferEvicted, BufferHit, BufferInvalidated
+from repro.timekeeping.charger import CostCharger
+from repro.timekeeping.profile import MachineProfile
 from tests.conftest import make_relation
 
 
@@ -88,6 +91,22 @@ class TestLookupAndLRU:
         rows = read(pool, other, [0], free_charger)
         assert rows == other.block_rows_uncharged(0)
         assert pool.info().hits == 0 and pool.info().misses == 2
+
+    def test_pooled_out_of_bounds_charges_then_raises_like_unpooled(
+        self, heap, unit_charger
+    ):
+        """Blocks before the bad id are charged (and admitted), then the
+        read raises — the same total charge as the unpooled read."""
+        bad = [0, 1, heap.block_count + 5]
+        with pytest.raises(StorageError):
+            heap.read_blocks(bad, unit_charger)
+        unpooled = unit_charger.total_charged()
+        pooled_charger = CostCharger(MachineProfile.uniform(1.0))
+        pool = BufferPool(capacity=8)
+        with pytest.raises(StorageError):
+            read(pool, heap, bad, pooled_charger)
+        assert pooled_charger.total_charged() == unpooled == 2
+        assert pool.info().currsize == 2
 
 
 class TestDecodeOnceAndPinning:
@@ -155,6 +174,15 @@ class TestInvalidation:
         info = pool.info()
         assert info.currsize == 2 and info.invalidations == 2
         assert pool.invalidate_relation("r1") == 0
+
+    def test_invalidation_matches_the_name_exactly(self, int_schema, free_charger):
+        r1 = make_relation("r1", int_schema, [(i, 0) for i in range(25)])
+        r10 = make_relation("r10", int_schema, [(i, 0) for i in range(25)])
+        pool = BufferPool(capacity=16)
+        read(pool, r1, [0], free_charger)
+        read(pool, r10, [0, 1], free_charger)
+        assert pool.invalidate_relation("r1") == 1
+        assert pool.info().currsize == 2
 
     def test_broadcast_reaches_every_live_pool(self, heap, free_charger):
         caches.get("bufferpool").clear()
@@ -251,12 +279,6 @@ class TestUnifiedCacheSurface:
         import repro
 
         for name in (
-            "plan_cache_info",
-            "clear_plan_cache",
-            "kernel_cache_info",
-            "clear_kernel_cache",
-            "bufferpool_cache_info",
-            "clear_bufferpool_cache",
             "BufferPool",
             "BufferPoolInfo",
             "KernelCacheInfo",

@@ -26,8 +26,8 @@ from tests.conftest import make_relation
 
 SCHEMA = Schema.of(id=AttributeType.INT, a=AttributeType.INT)
 BLOCKS = 5
-# "r1/shard0" is dropped by invalidate_relation("r1") like a shard view.
-NAMES = ("r1", "r2", "r1/shard0")
+# "r10" shares r1's prefix; invalidate_relation("r1") must not drop it.
+NAMES = ("r1", "r2", "r10")
 
 
 class _Slot:
@@ -87,11 +87,7 @@ class ModelPool:
         return slots
 
     def invalidate(self, name: str) -> None:
-        doomed = [
-            s
-            for s in self.order
-            if s.key[0] == name or s.key[0].startswith(name + "/shard")
-        ]
+        doomed = [s for s in self.order if s.key[0] == name]
         for slot in doomed:
             self.order.remove(slot)
         self.invalidations += len(doomed)

@@ -1,12 +1,10 @@
-"""The unified cache registry — ``repro.caches`` — and the legacy names.
+"""The unified cache registry — ``repro.caches``.
 
-One management surface for all four process-wide caches (kernels, plans,
-bufferpool, shards): named handles with ``info()``/``clear()``, whole-
-registry ``caches.info()``/``caches.clear()``, and the six pre-existing
-module-level helpers demoted to ``DeprecationWarning``-emitting delegates
-that still work. The suite's CI runs a ``-W error::DeprecationWarning``
-leg, so everything internal goes through the registry; these tests are the
-one sanctioned place the old names are still called.
+One management surface for all three process-wide caches (kernels, plans,
+bufferpool): named handles with ``info()``/``clear()`` and whole-registry
+``caches.info()``/``caches.clear()``. The module-level helpers that
+predated the registry are gone; the relation-keyed invalidation hooks
+remain as mutation plumbing.
 """
 
 from __future__ import annotations
@@ -29,23 +27,22 @@ def fresh_registry():
 
 
 def populate_all_caches():
-    """One estimate that touches kernels, plans, bufferpool, and shards."""
+    """One estimate that touches kernels, plans, and the bufferpool."""
     db = Database(seed=17)
     db.create_relation(
         "r1",
         [("id", "int"), ("a", "int")],
         rows=[(i, i % 7) for i in range(3_000)],
-        partitions=2,
     )
     db.estimate(
         rel("r1").where(cmp("a", "<", 3)), quota=4.0, seed=1,
-        vectorized=True, bufferpool=True, partitions=1,
+        vectorized=True, bufferpool=True,
     )
 
 
 class TestRegistry:
-    def test_names_cover_all_four_caches(self):
-        assert caches.names() == ("kernels", "plans", "bufferpool", "shards")
+    def test_names_cover_all_three_caches(self):
+        assert caches.names() == ("kernels", "plans", "bufferpool")
 
     def test_get_unknown_name_rejected(self):
         with pytest.raises(ReproError, match="unknown cache"):
@@ -64,16 +61,17 @@ class TestRegistry:
             for field in ("hits", "misses", "maxsize", "currsize"):
                 assert getattr(counters, field) >= 0
         assert info["plans"].currsize >= 1
-        assert info["shards"].currsize >= 1
+        assert info["bufferpool"].currsize >= 1
         assert info["kernels"].currsize >= 1
 
     def test_clear_one_cache_leaves_the_rest(self):
         populate_all_caches()
         assert caches.get("plans").info().currsize >= 1
-        shards_before = caches.get("shards").info().currsize
+        pool_before = caches.get("bufferpool").info().currsize
+        assert pool_before >= 1
         caches.clear("plans")
         assert caches.get("plans").info().currsize == 0
-        assert caches.get("shards").info().currsize == shards_before
+        assert caches.get("bufferpool").info().currsize == pool_before
 
     def test_clear_all(self):
         populate_all_caches()
@@ -83,44 +81,30 @@ class TestRegistry:
             assert counters.hits == 0, name
 
 
-LEGACY = [
-    ("kernels", "kernel_cache_info", "clear_kernel_cache"),
-    ("plans", "plan_cache_info", "clear_plan_cache"),
-    ("bufferpool", "bufferpool_cache_info", "clear_bufferpool_cache"),
-]
+REMOVED_HELPERS = (
+    "kernel_cache_info",
+    "clear_kernel_cache",
+    "plan_cache_info",
+    "clear_plan_cache",
+    "bufferpool_cache_info",
+    "clear_bufferpool_cache",
+)
 
 
 class TestLegacyNames:
-    @pytest.mark.parametrize("cache,info_name,clear_name", LEGACY)
-    def test_old_info_warns_and_matches_registry(
-        self, cache, info_name, clear_name
-    ):
-        populate_all_caches()
-        with pytest.warns(DeprecationWarning, match=f"{info_name}.*repro.caches"):
-            legacy = getattr(repro, info_name)()
-        assert legacy == caches.get(cache).info()
-
-    @pytest.mark.parametrize("cache,info_name,clear_name", LEGACY)
-    def test_old_clear_warns_and_clears(self, cache, info_name, clear_name):
-        populate_all_caches()
-        with pytest.warns(DeprecationWarning, match=f"{clear_name}.*repro.caches"):
-            getattr(repro, clear_name)()
-        assert caches.get(cache).info().currsize == 0
-
-    def test_all_six_still_exported_from_repro(self):
-        for _, info_name, clear_name in LEGACY:
-            assert callable(getattr(repro, info_name))
-            assert callable(getattr(repro, clear_name))
+    def test_legacy_helpers_are_gone(self):
+        """The registry is the only management surface left."""
+        for name in REMOVED_HELPERS:
+            assert not hasattr(repro, name), name
+            assert name not in repro.__all__, name
 
     def test_relation_invalidation_hooks_do_not_warn(self, recwarn):
-        """Mutation plumbing is not deprecated — only the management names."""
+        """Mutation plumbing stays public and warning-free."""
         from repro.planner.cache import invalidate_plan_cache_relation
         from repro.storage.bufferpool import invalidate_bufferpool_relation
-        from repro.storage.partitioned import invalidate_shard_cache_relation
 
         invalidate_plan_cache_relation("nope")
         invalidate_bufferpool_relation("nope")
-        invalidate_shard_cache_relation("nope")
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]

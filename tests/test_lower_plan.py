@@ -4,9 +4,8 @@ Admission pricing and ``Database.explain`` lower queries to *unbound*
 plans — no RNG stream, no charger, no sampler permutation — instead of
 opening sessions they never run. These tests pin that the switch is
 invisible: on random select / conjunct / intersect / join / project
-queries, with synopses off and on, default and ``hybrid`` selectivity
-sources, and a partitioned relation priced at shard parallelism 1 and 4,
-the unbound plan's minimum stage cost, itemization and explanation equal
+queries, with synopses off and on and default and ``hybrid`` selectivity
+sources, the unbound plan's minimum stage cost, itemization and explanation equal
 those of a ``seed=0`` session's plan bit for bit; a served stream admits
 exactly as it would on session prices; and nothing spawns from the
 database's master seed.
@@ -35,14 +34,13 @@ TUPLES = 600
 
 
 def build_db(synopses: bool = False) -> Database:
-    """Three analyzed relations; ``r1`` in four shards."""
+    """Three analyzed relations."""
     db = Database(seed=5, block_size=128)
     for index, name in enumerate(NAMES):
         db.create_relation(
             name,
             [("id", "int"), ("a", "int"), ("b", "int")],
             rows=[(i, i % (7 + index), i % 11) for i in range(TUPLES)],
-            partitions=4 if name == "r1" else None,
         )
     db.analyze()
     if synopses:
@@ -94,11 +92,10 @@ def same(actual, expected):
     query=st.one_of(st.sampled_from(QUERIES), queries()),
     synopses=st.booleans(),
     source=st.sampled_from(["runtime", "hybrid"]),
-    parallelism=st.sampled_from([1.0, 4.0]),
     summed=st.booleans(),
 )
 def test_unbound_plan_prices_like_a_session_plan(
-    dbs, query, synopses, source, parallelism, summed
+    dbs, query, synopses, source, summed
 ):
     db = dbs[synopses]
     aggregate = (
@@ -115,10 +112,7 @@ def test_unbound_plan_prices_like_a_session_plan(
     plan = db.lower(query, options, aggregate=aggregate)
     reference = session_plan()
     assert not plan.bound and reference.bound
-    assert same(
-        minimum_stage_cost(plan, shard_parallelism=parallelism),
-        minimum_stage_cost(reference, shard_parallelism=parallelism),
-    )
+    assert same(minimum_stage_cost(plan), minimum_stage_cost(reference))
     lowered, opened = predicted_stage_costs(plan), predicted_stage_costs(reference)
     assert same(lowered.fraction, opened.fraction)
     assert same(lowered.stage_overhead, opened.stage_overhead)
@@ -141,23 +135,21 @@ def test_unbound_plan_prices_like_a_session_plan(
 def test_unbound_plan_skips_permutations_and_cannot_run(dbs):
     db = dbs[False]
     query = intersect(rel("r1"), select(rel("r2"), cmp("a", "<", 4)))
-    plan = db.lower(query, partitions=4)
-    assert not plan.bound and plan.partitions == (True, 4)
+    plan = db.lower(query)
+    assert not plan.bound
     for scan in plan.scans:
         assert not scan.sampler.bound
         assert scan.sampler.remaining_blocks == scan.relation.block_count
-        assert scan.shard_seeds == ()
     with pytest.raises(UnboundPlanError):
         plan.advance_stage(0.1)
     with pytest.raises(UnboundPlanError):
         plan.scans[0].sampler.draw(1)
     assert plan.stages_completed == 0 and plan.history == []
     assert plan.blocks_drawn() == 0
-    # The session's plan is bound: permuted samplers, shard seeds drawn.
-    session = db.open_session(query, 1.0, seed=0, partitions=4)
+    # The session's plan is bound: permuted samplers.
+    session = db.open_session(query, 1.0, seed=0)
     assert session.plan.bound
     assert all(scan.sampler.bound for scan in session.plan.scans)
-    assert session.plan.scans[0].shard_seeds
 
 
 def test_lower_binds_synopses_like_a_session(dbs):
@@ -222,16 +214,12 @@ def _session_price(server, request):
         clock=server.clock,
         **server._session_overrides(),
     )
-    return minimum_stage_cost(
-        session.plan, shard_parallelism=server.shard_parallelism
-    )
+    return minimum_stage_cost(session.plan)
 
 
 def _serve(requests, synopses, minimum_cost):
     sink = RecordingSink()
-    server = QueryServer(
-        build_db(), sink=sink, synopses=synopses, shard_parallelism=4.0
-    )
+    server = QueryServer(build_db(), sink=sink, synopses=synopses)
     server._minimum_cost = lambda request: minimum_cost(server, request)
     server.process(requests)
     return sink.of_kind(AdmissionDecided)

@@ -74,21 +74,11 @@ class TestQueryOptionsValue:
         with pytest.raises(ReproError, match="block_size"):
             QueryOptions(block_size=-4)
 
-    def test_partitions_accepts_bool_and_worker_count(self):
-        for value in (None, True, False, 0, 1, 8):
-            assert QueryOptions(partitions=value).partitions == value
-
-    def test_negative_partitions_rejected(self):
-        with pytest.raises(ReproError, match="partitions"):
-            QueryOptions(partitions=-2)
-
-    def test_replace_partitions_round_trips(self):
-        base = QueryOptions()
-        assert base.partitions is None
-        changed = base.replace(partitions=4)
-        assert changed.partitions == 4
-        assert base.partitions is None  # original untouched
-        assert changed.replace(partitions=False).partitions is False
+    def test_removed_partitions_option_rejected(self):
+        with pytest.raises(ReproError, match="unknown query option"):
+            QueryOptions().replace(partitions=4)
+        with pytest.raises(TypeError):
+            QueryOptions(partitions=4)
 
 
 class TestEstimateEntrypoint:
@@ -180,24 +170,3 @@ class TestEstimateEntrypoint:
         session = db.open_session(EXPR, 1.0, QueryOptions(max_stages=2))
         result = session.run()
         assert result.stages <= 2
-
-    def test_partitions_option_round_trips_to_the_session(self, db):
-        sharded = db.open_session(
-            EXPR, 1.0, options=QueryOptions(partitions=4)
-        )
-        assert sharded.partitions == (True, 4)
-        off = db.open_session(EXPR, 1.0, options=QueryOptions(partitions=False))
-        assert off.partitions == (False, 1)
-        # Keyword override beats the bundle, like every other option.
-        overridden = db.open_session(
-            EXPR, 1.0, options=QueryOptions(partitions=4), partitions=False
-        )
-        assert overridden.partitions == (False, 1)
-
-
-class TestDeprecatedWrapperParity:
-    def test_wrappers_warn_and_delegate(self, db):
-        fresh = db.estimate(EXPR, quota=1.0, seed=12)
-        with pytest.warns(DeprecationWarning, match="count_estimate"):
-            legacy = db.count_estimate(EXPR, quota=1.0, seed=12)
-        assert sig(legacy) == sig(fresh)

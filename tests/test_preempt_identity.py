@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import caches
 from repro.faults.plan import FaultPlan
 from repro.observability import RecordingSink
 from repro.relational.expression import intersect, rel, select
@@ -160,6 +161,9 @@ def run_server(preempt, env=None, monkeypatch=None, fault_plan=None):
             monkeypatch.delenv("REPRO_PREEMPT", raising=False)
         else:
             monkeypatch.setenv("REPRO_PREEMPT", env)
+    # The server streams the process-wide pool's eviction events, so each
+    # compared run must start from the same (empty) pool.
+    caches.get("bufferpool").clear()
     sink = RecordingSink()
     kwargs = {}
     if fault_plan is not None:

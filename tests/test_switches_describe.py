@@ -1,7 +1,7 @@
-"""The switch registry — ``describe()``, partitions parsing, docs drift.
+"""The switch registry — ``describe()`` and docs drift.
 
 Every engine switch (optimize / kernels / synopses / bufferpool /
-partitions) resolves through one rule: explicit per-session value beats
+preempt) resolves through one rule: explicit per-session value beats
 the ``QueryOptions`` bundle, which beats the environment variable, which
 beats the built-in default. :func:`repro.core.switches.describe` reports
 each switch's resolved value *and the winning source*, and
@@ -16,13 +16,7 @@ import pathlib
 import pytest
 
 from repro.core.options import QueryOptions
-from repro.core.switches import (
-    SWITCHES,
-    describe,
-    env_partitions,
-    resolve_partitions,
-    switch_table_markdown,
-)
+from repro.core.switches import SWITCHES, describe, switch_table_markdown
 
 ALL_ENV = [s.env for s in SWITCHES]
 
@@ -41,6 +35,9 @@ class TestDescribe:
     def test_covers_every_switch(self):
         states = describe()
         assert [s.name for s in states] == [s.name for s in SWITCHES]
+        assert [s.name for s in SWITCHES] == [
+            "optimize", "kernels", "synopses", "bufferpool", "preempt",
+        ]
 
     def test_defaults_with_clean_env(self):
         states = describe()
@@ -49,82 +46,42 @@ class TestDescribe:
         assert state(states, "kernels").value is True
         assert state(states, "synopses").value is False
         assert state(states, "bufferpool").value is True
-        assert state(states, "partitions").value == (True, 1)
+        assert state(states, "preempt").value is False
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "0")
-        monkeypatch.setenv("REPRO_PARTITIONS", "8")
+        monkeypatch.setenv("REPRO_BUFFERPOOL", " OFF ")
         states = describe()
         kernels = state(states, "kernels")
         assert (kernels.value, kernels.source) == (False, "env")
-        partitions = state(states, "partitions")
-        assert (partitions.value, partitions.source) == ((True, 8), "env")
+        bufferpool = state(states, "bufferpool")
+        assert (bufferpool.value, bufferpool.source) == (False, "env")
         assert state(states, "optimize").source == "default"
 
     def test_options_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "0")
-        monkeypatch.setenv("REPRO_PARTITIONS", "0")
-        states = describe(options=QueryOptions(vectorized=True, partitions=4))
+        monkeypatch.setenv("REPRO_SYNOPSES", "0")
+        states = describe(options=QueryOptions(vectorized=True, synopses=True))
         kernels = state(states, "kernels")
         assert (kernels.value, kernels.source) == (True, "options")
-        partitions = state(states, "partitions")
-        assert (partitions.value, partitions.source) == ((True, 4), "options")
+        synopses = state(states, "synopses")
+        assert (synopses.value, synopses.source) == (True, "options")
 
     def test_explicit_beats_options(self, monkeypatch):
         states = describe(
-            options=QueryOptions(vectorized=True, partitions=4),
-            explicit={"vectorized": False, "partitions": 2},
+            options=QueryOptions(vectorized=True, synopses=True),
+            explicit={"vectorized": False, "synopses": False},
         )
         kernels = state(states, "kernels")
         assert (kernels.value, kernels.source) == (False, "explicit")
-        partitions = state(states, "partitions")
-        assert (partitions.value, partitions.source) == ((True, 2), "explicit")
+        synopses = state(states, "synopses")
+        assert (synopses.value, synopses.source) == (False, "explicit")
 
-    def test_enabled_property_reads_both_value_shapes(self):
-        states = describe(explicit={"partitions": 0, "synopses": True})
-        assert state(states, "partitions").enabled is False
+    def test_enabled_property_reads_the_value(self):
+        states = describe(explicit={"bufferpool": False, "synopses": True})
+        assert state(states, "bufferpool").enabled is False
         assert state(states, "synopses").enabled is True
-        assert state(states, "bufferpool").enabled is True
-
-
-class TestPartitionsParsing:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            (None, (True, 1)),
-            ("0", (False, 1)),
-            ("false", (False, 1)),
-            (" OFF ", (False, 1)),
-            ("no", (False, 1)),
-            ("1", (True, 1)),
-            ("6", (True, 6)),
-            ("-2", (False, 1)),
-            ("yes", (True, 1)),
-        ],
-    )
-    def test_env_partitions(self, monkeypatch, raw, expected):
-        if raw is None:
-            monkeypatch.delenv("REPRO_PARTITIONS", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_PARTITIONS", raw)
-        assert env_partitions() == expected
-
-    @pytest.mark.parametrize(
-        "explicit,expected",
-        [
-            (True, (True, 1)),
-            (False, (False, 1)),
-            (0, (False, 1)),
-            (1, (True, 1)),
-            (5, (True, 5)),
-        ],
-    )
-    def test_resolve_partitions_explicit(self, explicit, expected):
-        assert resolve_partitions(explicit) == expected
-
-    def test_resolve_partitions_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONS", "3")
-        assert resolve_partitions(None) == (True, 3)
+        assert state(states, "optimize").enabled is True
 
 
 class TestDocsTable:
